@@ -23,7 +23,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cc/compiler.hpp"
-#include "core/profile_scenarios.hpp"
+#include "core/scenario_table.hpp"
 #include "os/process.hpp"
 #include "profile/metrics.hpp"
 #include "profile/profiler.hpp"
@@ -97,14 +97,18 @@ void BM_BuildReport(benchmark::State& state) {
 BENCHMARK(BM_BuildReport)->Unit(benchmark::kMillisecond);
 
 void BM_ProfileScenario(benchmark::State& state) {
-    const auto& names = core::profile_scenario_names();
-    const std::string name = names[static_cast<std::size_t>(state.range(0))];
+    const std::string name =
+        core::scenario_names(true)[static_cast<std::size_t>(state.range(0))];
     state.SetLabel(name);
     std::uint64_t retired = 0;
     for (auto _ : state) {
-        const auto run = core::run_profile_scenario(name);
-        retired += run.report.total_retired;
-        benchmark::DoNotOptimize(run);
+        profile::Profiler prof;
+        core::ScenarioOptions opts;
+        opts.profiler = &prof;
+        const auto out = core::run_scenario(name, opts);
+        const auto report = profile::build_report(prof, *out.image, out.text_base);
+        retired += report.total_retired;
+        benchmark::DoNotOptimize(report);
     }
     state.counters["retired_per_s"] =
         benchmark::Counter(static_cast<double>(retired), benchmark::Counter::kIsRate);

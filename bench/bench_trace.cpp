@@ -10,7 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "cc/compiler.hpp"
-#include "core/trace_scenarios.hpp"
+#include "core/scenario_table.hpp"
 #include "os/process.hpp"
 #include "profile/profiler.hpp"
 #include "trace/trace.hpp"
@@ -81,14 +81,16 @@ BENCHMARK(BM_VmExecuteProfiled)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // End-to-end scenario cost: attack + victim + full trace + JSONL render.
 void BM_TraceScenario(benchmark::State& state) {
-    const auto& names = core::trace_scenario_names();
-    const std::string name = names[static_cast<std::size_t>(state.range(0))];
+    const std::string name = core::scenario_names()[static_cast<std::size_t>(state.range(0))];
     state.SetLabel(name);
     std::uint64_t bytes = 0;
     for (auto _ : state) {
-        const auto run = core::run_trace_scenario(name);
-        bytes += run.events_jsonl.size();
-        benchmark::DoNotOptimize(run);
+        trace::Tracer tracer;
+        core::ScenarioOptions opts;
+        opts.tracer = &tracer;
+        const auto out = core::run_scenario(name, opts);
+        bytes += tracer.to_jsonl().size();
+        benchmark::DoNotOptimize(out);
     }
     state.counters["jsonl_bytes_per_s"] =
         benchmark::Counter(static_cast<double>(bytes), benchmark::Counter::kIsRate);

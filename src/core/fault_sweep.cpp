@@ -8,8 +8,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/image_cache.hpp"
 #include "core/parallel.hpp"
+#include "core/run_metrics.hpp"
 #include "os/layout.hpp"
 #include "statecont/protocol.hpp"
 
@@ -506,17 +506,7 @@ profile::Registry fault_sweep_metrics(const FaultSweepReport& report) {
     // matrix aggregates; fold them in under this harness's label.
     for (const MatrixCell& c : report.baseline_cells) {
         const AttackOutcome& o = c.outcome;
-        reg.counter_add("victim_instructions_total", base, o.steps);
-        reg.counter_add("dcache_hits_total", base, o.dcache_hits);
-        reg.counter_add("dcache_decodes_total", base, o.dcache_decodes);
-        reg.counter_add("syscall_retries_total", base, o.syscall_retries);
-        reg.counter_add("io_faults_injected_total", base, o.io_faults_injected);
-        reg.counter_add("sbrk_calls_total", base, o.sbrk_calls);
-        reg.gauge_max("heap_high_water_bytes", base, static_cast<double>(o.heap_high_water));
-        reg.counter_add("vm_dispatch_tier2_entries_total", base, o.tier2_entries);
-        reg.counter_add("vm_dispatch_fast_steps_total", base, o.fast_steps);
-        reg.counter_add("vm_dispatch_superinsns_retired_total", base, o.superinsns_retired);
-        reg.counter_add("vm_dispatch_deopts_total", base, o.deopts);
+        add_run_tallies(reg, base, o);
         // Trap latency over the healthy-platform baseline: same definition
         // as the matrix harness, under this harness's label so the two
         // exports stay independently diffable.
@@ -530,12 +520,7 @@ profile::Registry fault_sweep_metrics(const FaultSweepReport& report) {
     reg.set_help("sweep_trap_latency_steps",
                  "Victim instructions retired before a defense trapped the attack "
                  "(healthy-platform baseline cells)");
-    reg.gauge_set("image_cache_images", base, static_cast<double>(image_cache_size()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_hits", base, static_cast<double>(image_cache_hits()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_evictions", base, static_cast<double>(image_cache_evictions()),
-                  profile::Volatile::Yes);
+    set_image_cache_gauges(reg, base);
     return reg;
 }
 

@@ -150,7 +150,7 @@ struct FaultCellSweep {
 /// harness=fault-sweep, plus class=<fault class> for the per-class
 /// tallies): cells visited, windows executed, fail-open violations,
 /// state-continuity liveness results and the baseline cells' platform
-/// tallies.  Derived from the (jobs-invariant) report only, so the JSON
+/// tallies (add_run_tallies, the same families the matrix exports).  Derived from the (jobs-invariant) report only, so the JSON
 /// export is byte-identical for any jobs value.
 [[nodiscard]] profile::Registry fault_sweep_metrics(const FaultSweepReport& report);
 

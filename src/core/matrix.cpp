@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/hexdump.hpp"
-#include "core/image_cache.hpp"
 #include "core/parallel.hpp"
+#include "core/run_metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace swsec::core {
@@ -122,25 +122,7 @@ profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
     for (const auto& c : cells) {
         const AttackOutcome& o = c.outcome;
         reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total", base);
-        reg.counter_add("victim_instructions_total", base, o.steps);
-        reg.counter_add("dcache_hits_total", base, o.dcache_hits);
-        reg.counter_add("dcache_decodes_total", base, o.dcache_decodes);
-        reg.counter_add("syscall_retries_total", base, o.syscall_retries);
-        reg.counter_add("io_faults_injected_total", base, o.io_faults_injected);
-        reg.counter_add("sbrk_calls_total", base, o.sbrk_calls);
-        reg.gauge_max("heap_high_water_bytes", base, static_cast<double>(o.heap_high_water));
-        // vm.dispatch.*: which execution tier did the work (DESIGN.md §13).
-        reg.counter_add("vm_dispatch_tier2_entries_total", base, o.tier2_entries);
-        reg.counter_add("vm_dispatch_fast_steps_total", base, o.fast_steps);
-        reg.counter_add("vm_dispatch_superinsns_retired_total", base, o.superinsns_retired);
-        reg.counter_add("vm_dispatch_deopts_total", base, o.deopts);
-        // asan.*: shadow-memory sanitizer activity (DESIGN.md §15).  All
-        // zero for non-sanitize defenses, so the totals isolate the
-        // sanitizer column's work.
-        reg.counter_add("asan_shadow_poisons_total", base, o.asan_shadow_poisons);
-        reg.counter_add("asan_shadow_unpoisons_total", base, o.asan_shadow_unpoisons);
-        reg.counter_add("asan_interceptor_checks_total", base, o.asan_interceptor_checks);
-        reg.counter_add("asan_interceptor_traps_total", base, o.asan_interceptor_traps);
+        add_run_tallies(reg, base, o);
         // Per-defense verdicts: which configurations are holding the line.
         reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total",
                         {{"harness", "matrix"}, {"defense", c.defense}});
@@ -156,12 +138,7 @@ profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
     }
     reg.set_help("matrix_trap_latency_steps",
                  "Victim instructions retired before a defense trapped the attack");
-    reg.gauge_set("image_cache_images", base, static_cast<double>(image_cache_size()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_hits", base, static_cast<double>(image_cache_hits()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_evictions", base, static_cast<double>(image_cache_evictions()),
-                  profile::Volatile::Yes);
+    set_image_cache_gauges(reg, base);
     return reg;
 }
 

@@ -50,14 +50,12 @@ struct MatrixCell {
 /// is byte-identical to a monolithic sweep's.
 [[nodiscard]] std::string matrix_cell_json(const MatrixCell& cell);
 
-/// Aggregate the cells' deterministic platform tallies into a metrics
-/// registry (labels: harness=matrix): attack verdict counts, victim
-/// instructions, decode-cache hits/decodes, syscall retries, injected I/O
-/// faults, sbrk traffic and the heap high-water mark.  Aggregation runs in
-/// cell-index order over per-cell deterministic numbers, so the JSON export
-/// is byte-identical for any jobs value.  The machine-wide image-cache hit
-/// count is added as a Volatile gauge (schedule-dependent; excluded from
-/// the default export).
+/// Aggregate the cells into a metrics registry (labels: harness=matrix):
+/// attack verdict counts, per-attack trap latency and every victim's
+/// platform tallies (add_run_tallies).  Aggregation runs in cell-index
+/// order over per-cell deterministic numbers, so the JSON export is
+/// byte-identical for any jobs value.  The image-cache gauges are Volatile
+/// (schedule-dependent; excluded from the default export).
 [[nodiscard]] profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells);
 
 } // namespace swsec::core

@@ -12,6 +12,7 @@
 #include "core/defense.hpp"
 #include "core/image_cache.hpp"
 #include "core/parallel.hpp"
+#include "core/run_metrics.hpp"
 #include "os/process.hpp"
 #include "profile/profiler.hpp"
 
@@ -98,14 +99,6 @@ struct ObservedArch {
     }
 };
 
-void add_dispatch(FuzzReport& stats, const vm::DispatchStats& d) {
-    stats.tier2_entries += d.tier2_entries;
-    stats.fast_steps += d.fast_steps;
-    stats.superinsns_retired += d.superinsns_retired;
-    stats.deopts += d.deopt_page_gen + d.deopt_slow_fetch + d.deopt_trap + d.deopt_budget +
-                    d.deopt_syscall + d.deopt_observer;
-}
-
 ObservedArch run_arch(const objfmt::Image& image, const os::SecurityProfile& profile,
                       bool fast_engine, std::uint64_t seed, std::uint64_t max_steps,
                       FuzzReport* stats) {
@@ -127,7 +120,7 @@ ObservedArch run_arch(const objfmt::Image& image, const os::SecurityProfile& pro
         ++stats->runs;
         stats->counters.instructions += r.steps;
         ++stats->counters.traps;
-        add_dispatch(*stats, proc.machine().dispatch_stats());
+        *stats += proc.tallies();
     }
     return a;
 }
@@ -153,7 +146,7 @@ Observed run_once(const objfmt::Image& image, const os::SecurityProfile& profile
             stats->counters.instructions += r.steps;
             ++stats->counters.traps;
         }
-        add_dispatch(*stats, proc.machine().dispatch_stats());
+        *stats += proc.tallies();
     }
     return obs;
 }
@@ -479,10 +472,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
         report.runs += r.stats.runs;
         report.const_checks += r.stats.const_checks;
         add_counters(report.counters, r.stats.counters);
-        report.tier2_entries += r.stats.tier2_entries;
-        report.fast_steps += r.stats.fast_steps;
-        report.superinsns_retired += r.stats.superinsns_retired;
-        report.deopts += r.stats.deopts;
+        report += r.stats;
         report.seed_runs.push_back(r.stats.runs);
         report.minimizer_rounds.insert(report.minimizer_rounds.end(),
                                        r.stats.minimizer_rounds.begin(),
@@ -525,17 +515,11 @@ profile::Registry fuzz_metrics(const FuzzReport& report) {
     reg.counter_add("fuzz_runs_total", base, report.runs);
     reg.counter_add("fuzz_const_checks_total", base, report.const_checks);
     reg.counter_add("fuzz_divergences_total", base, report.divergences.size());
-    reg.counter_add("victim_instructions_total", base, report.counters.instructions);
-    reg.counter_add("dcache_hits_total", base, report.counters.dcache_hits);
-    reg.counter_add("dcache_decodes_total", base, report.counters.dcache_misses);
+    core::add_run_tallies(reg, base, report);
+    // Trace-layer counters: fed in full only by the tracer-attached runs.
     reg.counter_add("syscalls_total", base, report.counters.syscalls);
     reg.counter_add("heap_allocs_total", base, report.counters.heap_allocs);
     reg.counter_add("heap_frees_total", base, report.counters.heap_frees);
-    // vm.dispatch.*: which execution tier did the work (DESIGN.md §13).
-    reg.counter_add("vm_dispatch_tier2_entries_total", base, report.tier2_entries);
-    reg.counter_add("vm_dispatch_fast_steps_total", base, report.fast_steps);
-    reg.counter_add("vm_dispatch_superinsns_retired_total", base, report.superinsns_retired);
-    reg.counter_add("vm_dispatch_deopts_total", base, report.deopts);
     if (report.coverage.enabled) {
         reg.gauge_set("coverage_edges", base, static_cast<double>(report.coverage.total_edges));
         reg.counter_add("coverage_interesting_seeds_total", base,

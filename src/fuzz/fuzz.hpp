@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
+#include "os/process.hpp"
 #include "profile/metrics.hpp"
 #include "profile/profiler.hpp"
 #include "trace/trace.hpp"
@@ -111,20 +112,17 @@ struct CoverageReport {
                                                        std::uint64_t seed,
                                                        std::uint64_t max_steps);
 
-struct FuzzReport {
+/// Campaign totals.  The inherited os::RunTallies sum every differential
+/// run's platform tallies (instructions, decode cache, dispatch tier, heap,
+/// sanitizer); `counters` sums the trace-layer counters, which only the
+/// tracer-attached engine-oracle runs feed in full.
+struct FuzzReport : os::RunTallies {
     int programs = 0;
     std::uint64_t runs = 0;         // differential process executions
     std::uint64_t const_checks = 0; // fold-vs-runtime probes evaluated
     /// Aggregated trace-layer counters across every run (instructions
     /// retired, traps, syscalls, heap events, decode-cache hit rates).
     trace::Counters counters;
-    /// Aggregated vm::DispatchStats across every run: which execution tier
-    /// did the work (tier-2 entries, fast-retired steps, superinstructions,
-    /// deoptimizations — DESIGN.md §13).
-    std::uint64_t tier2_entries = 0;
-    std::uint64_t fast_steps = 0;
-    std::uint64_t superinsns_retired = 0;
-    std::uint64_t deopts = 0;
     /// Per-seed differential executions, in seed order (one entry per
     /// generated program; empty for replay runs).  Feeds the
     /// fuzz_seed_runs histogram — the distribution shows which seeds
@@ -162,8 +160,9 @@ struct FuzzReport {
                                   const std::function<bool(const std::string&)>& still_diverges,
                                   std::uint64_t* rounds_out = nullptr);
 
-/// The campaign's metrics registry: totals mirrored from the report plus the
-/// per-seed execution-count and minimizer-rounds histograms.  Deterministic
+/// The campaign's metrics registry: totals mirrored from the report (the
+/// platform tallies through core::add_run_tallies) plus the per-seed
+/// execution-count and minimizer-rounds histograms.  Deterministic
 /// given the report (which is itself jobs-invariant).
 [[nodiscard]] profile::Registry fuzz_metrics(const FuzzReport& report);
 

@@ -1,5 +1,7 @@
 #include "os/process.hpp"
 
+#include <algorithm>
+
 namespace swsec::os {
 
 Process::Process(objfmt::Image image, const SecurityProfile& profile, std::uint64_t seed,
@@ -40,5 +42,47 @@ std::uint32_t Process::addr_of(const std::string& symbol) const {
 }
 
 vm::RunResult Process::run(std::uint64_t max_steps) { return machine_.run(max_steps); }
+
+RunTallies& RunTallies::operator+=(const RunTallies& o) noexcept {
+    steps += o.steps;
+    dcache_hits += o.dcache_hits;
+    dcache_decodes += o.dcache_decodes;
+    syscall_retries += o.syscall_retries;
+    io_faults_injected += o.io_faults_injected;
+    sbrk_calls += o.sbrk_calls;
+    heap_high_water = std::max(heap_high_water, o.heap_high_water);
+    tier2_entries += o.tier2_entries;
+    fast_steps += o.fast_steps;
+    superinsns_retired += o.superinsns_retired;
+    deopts += o.deopts;
+    asan_shadow_poisons += o.asan_shadow_poisons;
+    asan_shadow_unpoisons += o.asan_shadow_unpoisons;
+    asan_interceptor_checks += o.asan_interceptor_checks;
+    asan_interceptor_traps += o.asan_interceptor_traps;
+    return *this;
+}
+
+RunTallies Process::tallies() const {
+    RunTallies t;
+    t.steps = machine_.steps_executed();
+    t.dcache_hits = machine_.decode_cache().hits();
+    t.dcache_decodes = machine_.decode_cache().decodes();
+    t.syscall_retries = kernel_.fault_stats().retries;
+    t.io_faults_injected = kernel_.fault_stats().injected_failures;
+    t.sbrk_calls = kernel_.heap_stats().sbrk_calls;
+    t.heap_high_water = kernel_.heap_stats().high_water;
+    const vm::DispatchStats& d = machine_.dispatch_stats();
+    t.tier2_entries = d.tier2_entries;
+    t.fast_steps = d.fast_steps;
+    t.superinsns_retired = d.superinsns_retired;
+    t.deopts = d.deopt_page_gen + d.deopt_slow_fetch + d.deopt_trap + d.deopt_budget +
+               d.deopt_syscall + d.deopt_observer;
+    const KernelSanitizerStats& sa = kernel_.sanitizer_stats();
+    t.asan_shadow_poisons = sa.shadow_poisons;
+    t.asan_shadow_unpoisons = sa.shadow_unpoisons;
+    t.asan_interceptor_checks = sa.interceptor_checks;
+    t.asan_interceptor_traps = sa.interceptor_traps;
+    return t;
+}
 
 } // namespace swsec::os

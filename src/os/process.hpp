@@ -66,6 +66,34 @@ struct SecurityProfile {
     }
 };
 
+/// What one process's machine and kernel did over a run: the per-run
+/// platform tallies the harnesses export (core/run_metrics.hpp names each
+/// field as a metric family).  Deterministic given the seeds, so sums over
+/// share-nothing runs are the same for any --jobs value.
+struct RunTallies {
+    std::uint64_t steps = 0; // instructions retired
+    std::uint64_t dcache_hits = 0;
+    std::uint64_t dcache_decodes = 0;
+    std::uint64_t syscall_retries = 0;
+    std::uint64_t io_faults_injected = 0;
+    std::uint64_t sbrk_calls = 0;
+    std::uint32_t heap_high_water = 0;
+    // Tier-2 dispatch: which engine did the work (DESIGN.md §13).
+    std::uint64_t tier2_entries = 0;
+    std::uint64_t fast_steps = 0;
+    std::uint64_t superinsns_retired = 0;
+    std::uint64_t deopts = 0; // sum over all deopt reasons
+    // Shadow-memory sanitizer: all zero unless the profile sets
+    // sanitize_address (DESIGN.md §15).
+    std::uint64_t asan_shadow_poisons = 0;
+    std::uint64_t asan_shadow_unpoisons = 0;
+    std::uint64_t asan_interceptor_checks = 0;
+    std::uint64_t asan_interceptor_traps = 0;
+
+    /// Sum another run in; heap_high_water takes the max.
+    RunTallies& operator+=(const RunTallies& o) noexcept;
+};
+
 class Process {
 public:
     /// Load `image` with the given profile.  `seed` drives every random
@@ -105,6 +133,9 @@ public:
     /// result reports TrapKind::OutOfGas (RunResult::watchdog_expired()),
     /// distinguishing "hung/runaway" from every other failure mode.
     vm::RunResult run(std::uint64_t max_steps = 10'000'000);
+
+    /// The run's platform tallies, read from the machine and kernel counters.
+    [[nodiscard]] RunTallies tallies() const;
 
 private:
     objfmt::Image image_;

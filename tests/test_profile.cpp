@@ -13,8 +13,8 @@
 #include "core/attack_lab.hpp"
 #include "core/defense.hpp"
 #include "core/matrix.hpp"
-#include "core/profile_scenarios.hpp"
-#include "core/trace_scenarios.hpp"
+#include "core/fault_sweep.hpp"
+#include "core/scenario_table.hpp"
 #include "fuzz/fuzz.hpp"
 #include "fuzz/generator.hpp"
 #include "os/process.hpp"
@@ -189,8 +189,25 @@ TEST(Profiler, LoopEdgeCountsAreExact) {
     EXPECT_EQ(max_edge, 50u);
 }
 
+/// A scenario run with a profiler attached: the outcome and its report.
+struct Profiled {
+    core::AttackOutcome outcome;
+    profile::ProfileReport report;
+};
+
+Profiled run_profiled(const std::string& scenario, std::uint64_t sample_interval = 97) {
+    profile::Profiler prof;
+    prof.set_sample_interval(sample_interval);
+    core::ScenarioOptions opts;
+    opts.profiler = &prof;
+    Profiled p;
+    p.outcome = core::run_scenario(scenario, opts);
+    p.report = profile::build_report(prof, *p.outcome.image, p.outcome.text_base);
+    return p;
+}
+
 TEST(Profiler, ReportSymbolizesOver95PercentOnMatrixScenario) {
-    const auto run = core::run_profile_scenario("canary");
+    const auto run = run_profiled("canary");
     EXPECT_GE(run.report.symbolized_fraction(), 0.95);
     EXPECT_GT(run.report.total_retired, 0u);
     EXPECT_FALSE(run.report.blocks.empty());
@@ -199,16 +216,15 @@ TEST(Profiler, ReportSymbolizesOver95PercentOnMatrixScenario) {
 }
 
 TEST(Profiler, ScenarioReportsAreDeterministic) {
-    const auto a = core::run_profile_scenario("dep");
-    const auto b = core::run_profile_scenario("dep");
+    const auto a = run_profiled("dep");
+    const auto b = run_profiled("dep");
     EXPECT_EQ(a.report.to_json(), b.report.to_json());
     EXPECT_EQ(a.report.folded_text(), b.report.folded_text());
 }
 
 TEST(Profiler, FoldedStacksNameCallers) {
-    core::ProfileScenarioOptions opts;
-    opts.sample_interval = 1; // sample every retire: short runs still fold
-    const auto run = core::run_profile_scenario("canary", opts);
+    // Sample every retire: short runs still fold.
+    const auto run = run_profiled("canary", 1);
     ASSERT_FALSE(run.report.folded.empty());
     std::uint64_t total = 0;
     bool saw_nested = false;
@@ -467,6 +483,45 @@ TEST(Metrics, PrometheusIdenticalSerialVsJobsOnMatrixRun) {
     EXPECT_NE(a.find("matrix_trap_latency_steps_count"), std::string::npos);
 }
 
+TEST(Metrics, HarnessesExportTheSamePlatformTallyFamilies) {
+    // One tally struct, one exporter: the matrix, the fault sweep's baseline
+    // cells and the fuzz campaign name the same per-run families.
+    const profile::Registry matrix = core::matrix_metrics(core::run_matrix(1001, 2002, 1));
+    core::FaultSweepOptions sweep_opts;
+    sweep_opts.windows_per_class = 2;
+    const profile::Registry sweep = core::fault_sweep_metrics(core::run_fault_sweep(sweep_opts));
+    fuzz::FuzzOptions fuzz_opts;
+    fuzz_opts.seeds = 3;
+    const profile::Registry fz = fuzz::fuzz_metrics(fuzz::run_fuzz(fuzz_opts));
+
+    const std::vector<std::string> families = {
+        "victim_instructions_total", "dcache_hits_total", "dcache_decodes_total",
+        "syscall_retries_total", "io_faults_injected_total", "sbrk_calls_total",
+        "heap_high_water_bytes", "vm_dispatch_tier2_entries_total",
+        "vm_dispatch_fast_steps_total", "vm_dispatch_superinsns_retired_total",
+        "vm_dispatch_deopts_total", "asan_shadow_poisons_total",
+        "asan_shadow_unpoisons_total", "asan_interceptor_checks_total",
+        "asan_interceptor_traps_total",
+    };
+    const std::vector<std::pair<const char*, const profile::Registry*>> exports = {
+        {"matrix", &matrix}, {"fault-sweep", &sweep}, {"fuzz", &fz}};
+    for (const auto& [harness, reg] : exports) {
+        const std::string prom = reg->to_prometheus();
+        for (const auto& family : families) {
+            EXPECT_NE(prom.find("\n" + family + "{harness=\"" + harness + "\"}"),
+                      std::string::npos)
+                << harness << " lacks " << family;
+        }
+        // Every tier-2 step is served from the decode cache, so the hits
+        // can never be fewer than the fast steps of the same runs.
+        const profile::Labels base = {{"harness", harness}};
+        EXPECT_GE(reg->counter("dcache_hits_total", base),
+                  reg->counter("vm_dispatch_fast_steps_total", base))
+            << harness;
+        EXPECT_GT(reg->counter("vm_dispatch_fast_steps_total", base), 0u) << harness;
+    }
+}
+
 // --- coverage bitmaps --------------------------------------------------------
 
 TEST(Coverage, BitmapBasics) {
@@ -519,9 +574,13 @@ TEST(Coverage, CurveMonotoneAndJobsInvariant) {
 // --- platform plumbing -------------------------------------------------------
 
 TEST(Plumbing, ModuleLoadedIsFirstTraceEvent) {
-    const auto run = core::run_trace_scenario("baseline");
-    ASSERT_FALSE(run.events_jsonl.empty());
-    const std::string first = run.events_jsonl.substr(0, run.events_jsonl.find('\n'));
+    trace::Tracer tracer;
+    core::ScenarioOptions opts;
+    opts.tracer = &tracer;
+    (void)core::run_scenario("baseline", opts);
+    const std::string jsonl = tracer.to_jsonl();
+    ASSERT_FALSE(jsonl.empty());
+    const std::string first = jsonl.substr(0, jsonl.find('\n'));
     EXPECT_NE(first.find("\"event\":\"module-load\""), std::string::npos);
 }
 

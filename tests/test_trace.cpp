@@ -6,15 +6,36 @@
 // faults).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+
+#include "common/error.hpp"
 #include "core/matrix.hpp"
-#include "core/trace_scenarios.hpp"
+#include "core/scenario_table.hpp"
+#include "profile/report.hpp"
 #include "trace/trace.hpp"
 
 namespace {
 
 using namespace swsec;
-using core::run_trace_scenario;
-using core::TraceScenarioOptions;
+using core::ScenarioOptions;
+
+/// A scenario run with a tracer attached: the outcome plus what it saw.
+struct Traced {
+    core::AttackOutcome outcome;
+    std::string events_jsonl;
+    trace::Counters counters;
+};
+
+Traced run_traced(const std::string& scenario, ScenarioOptions opts = {}) {
+    trace::Tracer tracer;
+    opts.tracer = &tracer;
+    Traced t;
+    t.outcome = core::run_scenario(scenario, opts);
+    t.events_jsonl = tracer.to_jsonl();
+    t.counters = tracer.counters();
+    return t;
+}
 
 // --- Tracer mechanics -------------------------------------------------------
 
@@ -73,17 +94,22 @@ TEST(Tracer, JsonlEscapesAndFixedKeyOrder) {
 
 // --- Trap provenance: which check fired, where, in which mode ---------------
 
+// gtest prints this parameter as a byte dump, and ctest makes the dump part of
+// each test's name. The scenario name is held inline, not as a pointer, and
+// the struct has no padding, so the names do not depend on where the linker
+// happens to place string literals.
 struct Provenance {
-    const char* scenario;
+    char scenario[14];
     trace::CheckOrigin origin;
     bool kernel; // mode of the final trap
 };
+static_assert(std::has_unique_object_representations_v<Provenance>);
 
 class TraceProvenance : public ::testing::TestWithParam<Provenance> {};
 
 TEST_P(TraceProvenance, FinalTrapNamesTheCheckThatFired) {
     const auto& p = GetParam();
-    const auto run = run_trace_scenario(p.scenario);
+    const auto run = run_traced(p.scenario);
     EXPECT_FALSE(run.outcome.succeeded) << p.scenario;
     EXPECT_EQ(run.outcome.trap.origin, p.origin) << p.scenario;
     EXPECT_EQ(run.outcome.trap.kernel, p.kernel) << p.scenario;
@@ -116,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(TraceProvenanceDetail, BaselineSucceedsWithNoCheckFiring) {
-    const auto run = run_trace_scenario("baseline");
+    const auto run = run_traced("baseline");
     EXPECT_TRUE(run.outcome.succeeded);
     EXPECT_EQ(run.outcome.trap.origin, trace::CheckOrigin::None);
 }
@@ -124,7 +150,7 @@ TEST(TraceProvenanceDetail, BaselineSucceedsWithNoCheckFiring) {
 TEST(TraceProvenanceDetail, CanaryTrapIsAttributedToKernelMode) {
     // The abort syscall runs the kernel's handler: the TrapRaised event must
     // carry mode=kernel while the surrounding sys-enter/exit stay user.
-    const auto run = run_trace_scenario("canary");
+    const auto run = run_traced("canary");
     EXPECT_NE(run.events_jsonl.find("\"event\":\"trap\",") , std::string::npos);
     EXPECT_NE(run.events_jsonl.find("\"mode\":\"kernel\",\"origin\":\"canary\""),
               std::string::npos);
@@ -134,7 +160,7 @@ TEST(TraceProvenanceDetail, CanaryTrapIsAttributedToKernelMode) {
 TEST(TraceProvenanceDetail, PmaSceneRecordsKernelProbeAsMemFault) {
     // The pma scenario ends with a privileged read of module data — denied,
     // and recorded as a kernel-mode mem-fault with pma origin.
-    const auto run = run_trace_scenario("pma");
+    const auto run = run_traced("pma");
     EXPECT_NE(run.events_jsonl.find(
                   "\"event\":\"mem-fault\""), std::string::npos);
     EXPECT_NE(run.events_jsonl.find("\"mode\":\"kernel\",\"origin\":\"pma\""),
@@ -143,7 +169,7 @@ TEST(TraceProvenanceDetail, PmaSceneRecordsKernelProbeAsMemFault) {
 }
 
 TEST(TraceProvenanceDetail, SfiViolationsBecomeSyntheticTrapEvents) {
-    const auto run = run_trace_scenario("sfi");
+    const auto run = run_traced("sfi");
     EXPECT_EQ(run.outcome.trap.kind, vm::TrapKind::None); // nothing executed
     EXPECT_GE(run.counters.traps, 2u); // unmasked store + raw syscall
     EXPECT_NE(run.events_jsonl.find("\"origin\":\"sfi\""), std::string::npos);
@@ -152,7 +178,7 @@ TEST(TraceProvenanceDetail, SfiViolationsBecomeSyntheticTrapEvents) {
 }
 
 TEST(TraceProvenanceDetail, FaultScenarioRecordsInjectionBeforeTrap) {
-    const auto run = run_trace_scenario("fault");
+    const auto run = run_traced("fault");
     EXPECT_EQ(run.counters.faults_injected, 1u);
     const auto inj = run.events_jsonl.find("\"event\":\"fault-injected\"");
     const auto trap = run.events_jsonl.find("\"event\":\"trap\"");
@@ -162,6 +188,66 @@ TEST(TraceProvenanceDetail, FaultScenarioRecordsInjectionBeforeTrap) {
     EXPECT_NE(run.events_jsonl.find("\"detail\":\"power cut\""), std::string::npos);
 }
 
+// --- The scenario table -----------------------------------------------------
+
+TEST(ScenarioTable, EveryScenarioRunsWithATracer) {
+    const auto names = core::scenario_names();
+    ASSERT_EQ(names.size(), 9u);
+    for (const auto& name : names) {
+        const auto run = run_traced(name);
+        EXPECT_FALSE(run.events_jsonl.empty()) << name;
+        EXPECT_GT(run.counters.traps, 0u) << name;
+    }
+}
+
+TEST(ScenarioTable, EveryProcessBackedScenarioRunsWithAProfiler) {
+    const auto all = core::scenario_names();
+    const auto names = core::scenario_names(true);
+    ASSERT_EQ(names.size(), 7u);
+    for (const auto& name : names) {
+        EXPECT_NE(std::find(all.begin(), all.end(), name), all.end()) << name;
+        profile::Profiler prof;
+        ScenarioOptions opts;
+        opts.profiler = &prof;
+        const auto out = core::run_scenario(name, opts);
+        ASSERT_NE(out.image, nullptr) << name;
+        const auto report = profile::build_report(prof, *out.image, out.text_base);
+        EXPECT_GT(report.total_retired, 0u) << name;
+        EXPECT_LE(report.total_retired, out.steps) << name; // a trapping step retires nothing
+    }
+}
+
+TEST(ScenarioTable, ProfilingPmaOrSfiIsAUserErrorNamingTheScenario) {
+    for (const char* name : {"pma", "sfi"}) {
+        profile::Profiler prof;
+        ScenarioOptions opts;
+        opts.profiler = &prof;
+        try {
+            (void)core::run_scenario(name, opts);
+            ADD_FAILURE() << name << " ran with a profiler attached";
+        } catch (const InternalError& e) {
+            ADD_FAILURE() << name << " raised an internal error: " << e.what();
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + name + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ScenarioTable, UnknownNameErrorListsTheTable) {
+    try {
+        (void)core::run_scenario("no-such-scenario");
+        ADD_FAILURE() << "unknown scenario ran";
+    } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("no-such-scenario"), std::string::npos) << what;
+        for (const auto& name : core::scenario_names()) {
+            EXPECT_NE(what.find(name), std::string::npos) << name;
+        }
+    }
+}
+
 // --- Equivalence oracles ----------------------------------------------------
 
 // The decode cache is a pure performance device: with it off the trace must
@@ -169,11 +255,11 @@ TEST(TraceProvenanceDetail, FaultScenarioRecordsInjectionBeforeTrap) {
 // are deliberately outside the event stream.)
 TEST(TraceEquivalence, DecodeCacheOnOffTracesAreByteIdentical) {
     for (const char* scenario : {"baseline", "canary", "dep", "memcheck", "fault"}) {
-        TraceScenarioOptions on;
-        TraceScenarioOptions off;
+        ScenarioOptions on;
+        ScenarioOptions off;
         off.decode_cache = false;
-        const auto a = run_trace_scenario(scenario, on);
-        const auto b = run_trace_scenario(scenario, off);
+        const auto a = run_traced(scenario, on);
+        const auto b = run_traced(scenario, off);
         EXPECT_EQ(a.events_jsonl, b.events_jsonl) << scenario;
         EXPECT_EQ(a.counters.instructions, b.counters.instructions) << scenario;
     }
@@ -183,8 +269,8 @@ TEST(TraceEquivalence, DecodeCacheOnOffTracesAreByteIdentical) {
 // injected, which is exactly when reproducibility matters most.
 TEST(TraceEquivalence, SameSeedReproducesTraceBitForBit) {
     for (const char* scenario : {"canary", "fault"}) {
-        const auto a = run_trace_scenario(scenario);
-        const auto b = run_trace_scenario(scenario);
+        const auto a = run_traced(scenario);
+        const auto b = run_traced(scenario);
         EXPECT_EQ(a.events_jsonl, b.events_jsonl) << scenario;
         EXPECT_EQ(a.counters.summary(), b.counters.summary()) << scenario;
     }
@@ -193,10 +279,10 @@ TEST(TraceEquivalence, SameSeedReproducesTraceBitForBit) {
 TEST(TraceEquivalence, DifferentSeedChangesAslrBackedTraces) {
     // Sanity check that the oracle has teeth: under ASLR a different victim
     // seed shifts addresses, so the trace differs.
-    TraceScenarioOptions other;
+    ScenarioOptions other;
     other.victim_seed = 7777;
-    const auto a = run_trace_scenario("memcheck");
-    const auto b = run_trace_scenario("memcheck", other);
+    const auto a = run_traced("memcheck");
+    const auto b = run_traced("memcheck", other);
     EXPECT_EQ(a.counters.instructions, b.counters.instructions);
     EXPECT_EQ(b.outcome.trap.origin, trace::CheckOrigin::Memcheck);
 }

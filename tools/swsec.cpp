@@ -99,8 +99,7 @@
 #include "core/fig1.hpp"
 #include "core/matrix.hpp"
 #include "core/curves.hpp"
-#include "core/profile_scenarios.hpp"
-#include "core/trace_scenarios.hpp"
+#include "core/scenario_table.hpp"
 #include "fuzz/evolve.hpp"
 #include "fuzz/fuzz.hpp"
 #include "isa/disasm.hpp"
@@ -121,7 +120,7 @@ struct Options {
 };
 
 int usage() {
-    std::fputs(
+    const std::string text =
         "usage: swsec "
         "<run|asm|disasm|lint|gadgets|fig1|matrix|fault-sweep|trace|fuzz|evolve|curves|"
         "profile|campaign> [file.mc|scenario] [options]\n"
@@ -130,7 +129,7 @@ int usage() {
         "matrix options: --jobs N --trace-out FILE --metrics-out FILE --prom-out FILE\n"
         "fault-sweep options: --fault-seed N --windows N --jobs N --trace-out FILE\n"
         "                     --metrics-out FILE --prom-out FILE\n"
-        "trace scenarios: baseline canary dep shadow-stack cfi memcheck pma sfi fault\n"
+        "trace scenarios: " + core::scenario_list() + "\n"
         "trace options: --trace-out FILE --no-decode-cache --seed N --attacker-seed N\n"
         "fuzz options: --seeds N --seed-base B --jobs N --minimize --replay FILE --out FILE\n"
         "              --coverage --coverage-out FILE --metrics-out FILE --prom-out FILE\n"
@@ -138,7 +137,7 @@ int usage() {
         "                --out FILE --json-out FILE --curve-out FILE --metrics-out FILE\n"
         "curves options: --trials N --jobs N --aslr-bits LIST --budgets LIST\n"
         "                --canary-bits N --seed N --out FILE --metrics-out FILE\n"
-        "profile scenarios: baseline canary dep shadow-stack cfi memcheck fault\n"
+        "profile scenarios: " + core::scenario_list(true) + "\n"
         "profile options: --out FILE --folded FILE --annotate --sample-interval N\n"
         "                 --seed N --attacker-seed N (+ hardening options for file.mc)\n"
         "campaign: swsec campaign run --kind matrix|fault-sweep|fuzz|fuzz-evolve --dir DIR\n"
@@ -151,8 +150,8 @@ int usage() {
         "          --hang-cell N --crash-cell N --crash-times N (sabotage, for tests)\n"
         "campaign exec options: --jobs N --cell-timeout-ms N --retries N --backoff-ms N\n"
         "          --fsync-every N --max-cells N --metrics-out FILE --prom-out FILE\n"
-        "          --heartbeat-ms N (progress.jsonl heartbeat cadence; 0 = off)\n",
-        stderr);
+        "          --heartbeat-ms N (progress.jsonl heartbeat cadence; 0 = off)\n";
+    std::fputs(text.c_str(), stderr);
     return 2;
 }
 
@@ -317,7 +316,7 @@ int cmd_profile(int argc, char** argv) {
     bool annotate = false;
     std::uint64_t sample_interval = 97;
     Options opt; // hardening options apply in file mode only
-    core::ProfileScenarioOptions sopts;
+    core::ScenarioOptions sopts;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out" && i + 1 < argc) {
@@ -362,36 +361,28 @@ int cmd_profile(int argc, char** argv) {
         }
     }
     if (target.empty()) {
-        std::fputs("profile scenarios:", stderr);
-        for (const auto& n : core::profile_scenario_names()) {
-            std::fprintf(stderr, " %s", n.c_str());
-        }
-        std::fputs("  (or a file.mc)\n", stderr);
+        std::fprintf(stderr, "profile scenarios: %s  (or a file.mc)\n",
+                     core::scenario_list(true).c_str());
         return 2;
     }
 
+    profile::Profiler prof;
+    prof.set_sample_interval(sample_interval);
     profile::ProfileReport report;
-    std::string label;
-    const auto& names = core::profile_scenario_names();
-    const bool is_scenario =
-        std::find(names.begin(), names.end(), target) != names.end();
-    if (is_scenario) {
+    const auto names = core::scenario_names();
+    if (std::find(names.begin(), names.end(), target) != names.end()) {
         sopts.victim_seed = opt.seed != 1 ? opt.seed : sopts.victim_seed;
-        sopts.sample_interval = sample_interval;
-        const auto run = core::run_profile_scenario(target, sopts);
-        report = run.report;
-        label = run.scenario;
-        std::fprintf(stderr, "[%s] %s\n", label.c_str(), run.outcome.verdict().c_str());
-        if (!run.outcome.trap_sym.empty()) {
-            std::fprintf(stderr, "[%s] trap at %s\n", label.c_str(),
-                         run.outcome.trap_sym.c_str());
+        sopts.profiler = &prof;
+        const core::AttackOutcome out = core::run_scenario(target, sopts);
+        report = profile::build_report(prof, *out.image, out.text_base);
+        std::fprintf(stderr, "[%s] %s\n", target.c_str(), out.verdict().c_str());
+        if (!out.trap_sym.empty()) {
+            std::fprintf(stderr, "[%s] trap at %s\n", target.c_str(), out.trap_sym.c_str());
         }
     } else {
         // File mode: compile and run the program under the requested
         // hardening profile with the profiler attached.
         const auto img = cc::compile_program({read_file(target)}, opt.copts);
-        profile::Profiler prof;
-        prof.set_sample_interval(sample_interval);
         os::SecurityProfile p = opt.profile;
         p.profiler = &prof;
         os::Process proc(img, p, opt.seed);
@@ -399,7 +390,6 @@ int cmd_profile(int argc, char** argv) {
             proc.feed_input(opt.input);
         }
         const auto r = proc.run(100'000'000);
-        label = target;
         std::fprintf(stderr, "[%s after %llu instructions]\n", r.trap.to_string().c_str(),
                      static_cast<unsigned long long>(r.steps));
         report = profile::build_report(prof, img, proc.layout().text_base);
@@ -421,7 +411,7 @@ int cmd_profile(int argc, char** argv) {
 int cmd_trace(int argc, char** argv) {
     std::string scenario;
     std::string trace_out;
-    core::TraceScenarioOptions opts;
+    core::ScenarioOptions opts;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--no-decode-cache") {
@@ -440,19 +430,16 @@ int cmd_trace(int argc, char** argv) {
         }
     }
     if (scenario.empty()) {
-        std::fputs("trace scenarios:", stderr);
-        for (const auto& n : core::trace_scenario_names()) {
-            std::fprintf(stderr, " %s", n.c_str());
-        }
-        std::fputs("\n", stderr);
+        std::fprintf(stderr, "trace scenarios: %s\n", core::scenario_list().c_str());
         return 2;
     }
-    const auto run = core::run_trace_scenario(scenario, opts);
-    write_out(trace_out, run.events_jsonl);
-    std::fprintf(stderr, "[%s] %s\n", run.scenario.c_str(), run.outcome.verdict().c_str());
-    std::fprintf(stderr, "[%s] %s\n", run.scenario.c_str(),
-                 run.outcome.trap.provenance().c_str());
-    std::fprintf(stderr, "[%s] %s\n", run.scenario.c_str(), run.counters.summary().c_str());
+    trace::Tracer tracer;
+    opts.tracer = &tracer;
+    const core::AttackOutcome out = core::run_scenario(scenario, opts);
+    write_out(trace_out, tracer.to_jsonl());
+    std::fprintf(stderr, "[%s] %s\n", scenario.c_str(), out.verdict().c_str());
+    std::fprintf(stderr, "[%s] %s\n", scenario.c_str(), out.trap.provenance().c_str());
+    std::fprintf(stderr, "[%s] %s\n", scenario.c_str(), tracer.counters().summary().c_str());
     return 0;
 }
 
