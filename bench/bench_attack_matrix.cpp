@@ -1,12 +1,14 @@
 // Experiment CM-EXPLOIT: the attack/defense matrix (the paper's central
 // qualitative "table"), plus the end-to-end cost of mounting each attack,
-// the --jobs scaling of the parallel sweep engine, and the decode-cache
-// speedup on raw VM execution.
+// the --jobs scaling of the parallel sweep engine, the cost of one process
+// lifecycle, and the decode-cache speedup on raw VM execution.
 #include <benchmark/benchmark.h>
 
 #include "cc/compiler.hpp"
 #include "core/attack_lab.hpp"
+#include "core/image_cache.hpp"
 #include "core/matrix.hpp"
+#include "core/scenarios.hpp"
 #include "os/process.hpp"
 
 namespace {
@@ -46,6 +48,28 @@ void BM_FullMatrix(benchmark::State& state) {
 // UseRealTime so the cells_per_sec rate divides by wall clock, not the main
 // thread's CPU time (which undercounts once workers carry the load).
 BENCHMARK(BM_FullMatrix)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// One process lifecycle: construct (load), run and destroy a fig1 victim on
+// benign input, from one shared cached image — the per-process cost every
+// matrix cell pays once or twice.  Arg 1 = tier 2 (as deployed), arg 0 =
+// tier 1 only.  Milliseconds so tools/check_bench_regression.py can guard it.
+void BM_ProcessLifecycle(benchmark::State& state) {
+    swsec::os::SecurityProfile profile;
+    profile.fast_engine = state.range(0) != 0;
+    state.SetLabel(profile.fast_engine ? "tier2" : "tier1");
+    const auto img = cached_compile(swsec::core::scenarios::fig1_server(32), {});
+    std::uint64_t steps = 0;
+    for (auto _ : state) {
+        swsec::os::Process p(img, profile, 99);
+        p.feed_input("x");
+        const auto r = p.run(2'000'000);
+        steps += r.steps;
+        benchmark::DoNotOptimize(r);
+    }
+    state.counters["guest_insns"] = benchmark::Counter(
+        static_cast<double>(steps), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ProcessLifecycle)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 // Raw VM execution with the per-page decode cache on vs off (arg 1/0):
 // one compile, many runs of a compute-bound workload, so the decode loop

@@ -67,7 +67,7 @@ void BM_FuzzCachedCompileReplay(benchmark::State& state) {
     for (auto _ : state) {
         for (const core::Defense& d : defenses) {
             const auto image = core::cached_compile(source, d.copts);
-            os::Process p(*image, d.profile, 11);
+            os::Process p(image, d.profile, 11);
             const auto r = p.run(20'000'000);
             ++runs;
             benchmark::DoNotOptimize(r);

@@ -107,11 +107,14 @@ ProcessLayout load_image(vm::Machine& machine, const Image& image, const LoadOpt
     }
 
     auto& mem = machine.memory();
-    // Map with permissive RW first so relocation patching can use raw writes,
-    // then tighten to the profile's final permissions.
+    // Map text and data with permissive RW first so relocation patching can
+    // use raw writes, then tighten to the profile's final permissions.  The
+    // loader never writes the stack: it is mapped once with its final
+    // permissions, and its pages stay reservations until the guest touches
+    // them (vm/memory.hpp).
     mem.map(layout.text_base, std::max<std::uint32_t>(layout.text_size, 1), vm::Perm::RW);
     mem.map(layout.data_base, std::max<std::uint32_t>(layout.data_size, 1), vm::Perm::RW);
-    mem.map(layout.stack_low, opts.stack_size, vm::Perm::RW);
+    mem.map(layout.stack_low, opts.stack_size, opts.dep ? vm::Perm::RW : vm::Perm::RWX);
 
     mem.raw_write(layout.text_base, image.text);
     mem.raw_write(layout.data_base, image.data);
@@ -133,7 +136,6 @@ ProcessLayout load_image(vm::Machine& machine, const Image& image, const LoadOpt
     if (opts.dep) {
         mem.protect(layout.text_base, std::max<std::uint32_t>(layout.text_size, 1), vm::Perm::RX);
         mem.protect(layout.data_base, std::max<std::uint32_t>(layout.data_size, 1), vm::Perm::RW);
-        mem.protect(layout.stack_low, opts.stack_size, vm::Perm::RW);
         machine.options().enforce_nx = true;
     } else {
         // Classic unprotected platform: everything readable, writable and
@@ -141,7 +143,6 @@ ProcessLayout load_image(vm::Machine& machine, const Image& image, const LoadOpt
         // but writable text is what enables code-corruption attacks).
         mem.protect(layout.text_base, std::max<std::uint32_t>(layout.text_size, 1), vm::Perm::RWX);
         mem.protect(layout.data_base, std::max<std::uint32_t>(layout.data_size, 1), vm::Perm::RWX);
-        mem.protect(layout.stack_low, opts.stack_size, vm::Perm::RWX);
         machine.options().enforce_nx = false;
     }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "assembler/object.hpp"
 #include "os/kernel.hpp"
@@ -92,14 +93,22 @@ struct RunTallies {
 
     /// Sum another run in; heap_high_water takes the max.
     RunTallies& operator+=(const RunTallies& o) noexcept;
+    bool operator==(const RunTallies&) const = default;
 };
 
 class Process {
 public:
     /// Load `image` with the given profile.  `seed` drives every random
     /// choice (ASLR layout, canary value, getrandom) deterministically.
+    /// The image is shared, not copied: harnesses that load one image into
+    /// many processes (probe + victim per cell) pass the pointer they hold.
+    Process(std::shared_ptr<const objfmt::Image> image, const SecurityProfile& profile,
+            std::uint64_t seed, const std::string& entry_symbol = "_start");
+    /// Convenience for one-off processes: takes ownership of `image`.
     Process(objfmt::Image image, const SecurityProfile& profile, std::uint64_t seed,
-            const std::string& entry_symbol = "_start");
+            const std::string& entry_symbol = "_start")
+        : Process(std::make_shared<const objfmt::Image>(std::move(image)), profile, seed,
+                  entry_symbol) {}
 
     // The kernel holds a pointer to the layout and the machine a pointer to
     // the kernel; the object is pinned in place.  (Factory functions relying
@@ -113,7 +122,7 @@ public:
     [[nodiscard]] const vm::Machine& machine() const noexcept { return machine_; }
     [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }
     [[nodiscard]] const ProcessLayout& layout() const noexcept { return layout_; }
-    [[nodiscard]] const objfmt::Image& image() const noexcept { return image_; }
+    [[nodiscard]] const objfmt::Image& image() const noexcept { return *image_; }
 
     /// Absolute run-time address of a linked symbol.
     [[nodiscard]] std::uint32_t addr_of(const std::string& symbol) const;
@@ -138,7 +147,7 @@ public:
     [[nodiscard]] RunTallies tallies() const;
 
 private:
-    objfmt::Image image_;
+    std::shared_ptr<const objfmt::Image> image_;
     Rng rng_;
     vm::Machine machine_;
     Kernel kernel_;

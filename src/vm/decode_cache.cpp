@@ -1,5 +1,6 @@
 #include "vm/decode_cache.hpp"
 
+#include <cstddef>
 #include <optional>
 #include <span>
 
@@ -157,10 +158,72 @@ FastHandler single_handler(Op op) noexcept {
 
 } // namespace
 
+// Bound on each thread's free list of page entries (~132 KiB each): an idle
+// thread keeps at most ~2 MiB.  The list only ever holds entries that were
+// live at once, so it never raises a thread's peak memory.
+constexpr std::size_t kEntryPoolCap = 16;
+
+struct DecodeCache::EntryPool {
+    std::array<PageEntry*, kEntryPoolCap> free{};
+    std::size_t size = 0;
+    bool closed = false; // thread teardown has run: free directly
+};
+
+DecodeCache::EntryPool& DecodeCache::entry_pool() noexcept {
+    // The list itself is trivially destructible, so a DecodeCache destroyed
+    // after thread-local teardown (one with static storage duration) still
+    // finds it and, seeing `closed`, frees directly.
+    thread_local EntryPool pool;
+    struct Reaper {
+        ~Reaper() {
+            for (std::size_t i = 0; i < pool.size; ++i) {
+                delete pool.free[i];
+            }
+            pool.size = 0;
+            pool.closed = true;
+        }
+    };
+    thread_local Reaper reaper;
+    return pool;
+}
+
+void DecodeCache::reset(PageEntry& e) noexcept {
+    e.slots.fill(Slot::Unknown);
+    if (e.fast) {
+        // Unbuilt: fused entries die with their bytes.  Reset only the slots
+        // actually built — a page whose own stores keep bumping its
+        // generation (stack shellcode) invalidates per store, and a full
+        // 80 KiB sweep each time would dominate the run.
+        for (const std::uint16_t off : e.fast_built) {
+            (*e.fast)[off] = FastOp{};
+        }
+    }
+    e.fast_built.clear();
+    e.generation = 0;
+}
+
+void DecodeCache::EntryRecycler::operator()(PageEntry* e) const noexcept {
+    EntryPool& pool = entry_pool();
+    if (pool.closed || pool.size == kEntryPoolCap) {
+        delete e;
+        return;
+    }
+    reset(*e);
+    pool.free[pool.size++] = e;
+}
+
+DecodeCache::EntryPtr DecodeCache::new_entry() {
+    EntryPool& pool = entry_pool();
+    if (pool.size > 0) {
+        return EntryPtr(pool.free[--pool.size]);
+    }
+    return EntryPtr(new PageEntry());
+}
+
 DecodeCache::PageEntry* DecodeCache::entry_for(std::uint32_t page_index) {
     auto& slot = pages_[page_index];
     if (!slot) {
-        slot = std::make_unique<PageEntry>();
+        slot = new_entry();
     }
     mru_index_ = page_index;
     mru_ = slot.get();
@@ -173,17 +236,7 @@ void DecodeCache::sync_generation(PageEntry& e, std::uint64_t generation) noexce
     }
     if (e.generation != 0) {
         ++invalidations_;
-    }
-    e.slots.fill(Slot::Unknown);
-    if (e.fast) {
-        // Unbuilt: fused entries die with their bytes.  Reset only the slots
-        // actually built at the dead generation — a page whose own stores
-        // keep bumping its generation (stack shellcode) invalidates per
-        // store, and a full 64 KiB sweep each time would dominate the run.
-        for (const std::uint16_t off : e.fast_built) {
-            (*e.fast)[off] = FastOp{};
-        }
-        e.fast_built.clear();
+        reset(e);
     }
     e.generation = generation;
 }

@@ -144,7 +144,8 @@ public:
                                           Perm need) noexcept;
 
     /// Drop every cached page (the generation check makes this unnecessary
-    /// for correctness; exposed for tests and memory pressure).
+    /// for correctness; exposed for tests and memory pressure).  The page
+    /// entries go back to this thread's free list.
     void clear() noexcept;
 
     // --- tier-2 fast stream (vm/engine_fast.cpp) ---------------------------
@@ -197,6 +198,9 @@ private:
         SlowPath,    // byte does not decode here; let the slow fetch trap
     };
 
+    // Invariant: an entry at generation 0 is clean — every slot Unknown,
+    // every fast op Unbuilt, fast_built empty — so it can serve any page.
+    // Live page generations start at 1.
     struct PageEntry {
         std::uint64_t generation = 0;
         std::array<isa::Insn, kPageSize> insns{};
@@ -207,10 +211,26 @@ private:
         std::vector<std::uint16_t> fast_built; // slots to reset on invalidation
     };
 
+    // Entries are recycled, not freed: a fresh one costs ~132 KiB of
+    // zeroing, and a short-lived process touches only a few code pages.
+    // The deleter resets the entry (cost proportional to what it built)
+    // and parks it on a small per-thread free list that entry_for draws
+    // from; beyond the list's bound it frees.
+    struct EntryRecycler {
+        void operator()(PageEntry* e) const noexcept;
+    };
+    using EntryPtr = std::unique_ptr<PageEntry, EntryRecycler>;
+    struct EntryPool;
+    [[nodiscard]] static EntryPool& entry_pool() noexcept;
+
     [[nodiscard]] PageEntry* entry_for(std::uint32_t page_index);
     void sync_generation(PageEntry& e, std::uint64_t generation) noexcept;
+    /// Return `e` to the clean state (see the invariant above) without
+    /// touching slots it never built.
+    static void reset(PageEntry& e) noexcept;
+    [[nodiscard]] static EntryPtr new_entry();
 
-    std::unordered_map<std::uint32_t, std::unique_ptr<PageEntry>> pages_;
+    std::unordered_map<std::uint32_t, EntryPtr> pages_;
     // One-entry MRU: straight-line execution stays within a page.
     std::uint32_t mru_index_ = 0xffffffff;
     PageEntry* mru_ = nullptr;

@@ -19,10 +19,36 @@ Memory::Page* Memory::page_at(std::uint32_t addr) noexcept {
         return cached_page_;
     }
     const auto it = pages_.find(idx);
-    Page* p = (it == pages_.end()) ? nullptr : it->second.get();
+    Page* p = (it == pages_.end()) ? materialise(idx) : it->second.get();
     cached_index_ = idx;
     cached_page_ = p;
     return p;
+}
+
+Memory::Page* Memory::materialise(std::uint32_t index) noexcept {
+    const auto r = reserved_.find(index);
+    if (r == reserved_.end()) {
+        return nullptr;
+    }
+    auto page = std::make_unique<Page>(); // zero-filled
+    page->perms = r->second;
+    touch(*page);
+    reserved_.erase(r);
+    return pages_.emplace(index, std::move(page)).first->second.get();
+}
+
+std::optional<Perm> Memory::mapped_perms(std::uint32_t index) const noexcept {
+    if (index == cached_index_) {
+        // A cached lookup never holds a reservation: page_at materialised it.
+        return cached_page_ ? std::optional<Perm>(cached_page_->perms) : std::nullopt;
+    }
+    if (const auto it = pages_.find(index); it != pages_.end()) {
+        return it->second->perms;
+    }
+    if (const auto r = reserved_.find(index); r != reserved_.end()) {
+        return r->second;
+    }
+    return std::nullopt;
 }
 
 const Memory::Page* Memory::page_at(std::uint32_t addr) const noexcept {
@@ -48,12 +74,12 @@ void Memory::map(std::uint32_t addr, std::uint32_t size, Perm perms) {
     const std::uint32_t first = page_index(addr);
     const std::uint32_t last = page_index(addr + size - 1);
     for (std::uint32_t idx = first;; ++idx) {
-        auto& slot = pages_[idx];
-        if (!slot) {
-            slot = std::make_unique<Page>();
+        if (const auto it = pages_.find(idx); it != pages_.end()) {
+            it->second->perms = perms;
+            touch(*it->second);
+        } else {
+            reserved_[idx] = perms;
         }
-        slot->perms = perms;
-        touch(*slot);
         if (idx == last) {
             break;
         }
@@ -69,12 +95,14 @@ void Memory::protect(std::uint32_t addr, std::uint32_t size, Perm perms) {
     const std::uint32_t first = page_index(addr);
     const std::uint32_t last = page_index(addr + size - 1);
     for (std::uint32_t idx = first;; ++idx) {
-        const auto it = pages_.find(idx);
-        if (it == pages_.end()) {
+        if (const auto it = pages_.find(idx); it != pages_.end()) {
+            it->second->perms = perms;
+            touch(*it->second);
+        } else if (const auto r = reserved_.find(idx); r != reserved_.end()) {
+            r->second = perms; // materialisation will stamp a fresh generation
+        } else {
             throw Error("protect of unmapped page at " + hex32(idx << kPageShift));
         }
-        it->second->perms = perms;
-        touch(*it->second);
         if (idx == last) {
             break;
         }
@@ -89,6 +117,7 @@ void Memory::unmap(std::uint32_t addr, std::uint32_t size) {
     const std::uint32_t last = page_index(addr + size - 1);
     for (std::uint32_t idx = first;; ++idx) {
         pages_.erase(idx);
+        reserved_.erase(idx);
         if (idx == last) {
             break;
         }
@@ -97,11 +126,12 @@ void Memory::unmap(std::uint32_t addr, std::uint32_t size) {
     cached_page_ = nullptr;
 }
 
-bool Memory::is_mapped(std::uint32_t addr) const noexcept { return page_at(addr) != nullptr; }
+bool Memory::is_mapped(std::uint32_t addr) const noexcept {
+    return mapped_perms(page_index(addr)).has_value();
+}
 
 Perm Memory::perms_at(std::uint32_t addr) const noexcept {
-    const Page* p = page_at(addr);
-    return p ? p->perms : Perm::None;
+    return mapped_perms(page_index(addr)).value_or(Perm::None);
 }
 
 PageView Memory::page_view(std::uint32_t addr) const noexcept {
@@ -273,8 +303,11 @@ std::vector<std::uint8_t> Memory::raw_read(std::uint32_t addr, std::uint32_t len
 
 std::vector<std::uint32_t> Memory::mapped_pages() const {
     std::vector<std::uint32_t> out;
-    out.reserve(pages_.size());
+    out.reserve(pages_.size() + reserved_.size());
     for (const auto& [idx, page] : pages_) {
+        out.push_back(idx << kPageShift);
+    }
+    for (const auto& [idx, perms] : reserved_) {
         out.push_back(idx << kPageShift);
     }
     std::sort(out.begin(), out.end());

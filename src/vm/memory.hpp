@@ -1,8 +1,15 @@
 // Sparse paged memory with per-page permissions and a per-byte poison map.
 //
 // This models the 32-bit virtual address space of Fig. 1(c): a flat array of
-// 2^32 bytes, realised sparsely as 4 KiB pages allocated on demand by the
-// loader.  Page permissions (R/W/X) are the substrate for the DEP / W^X
+// 2^32 bytes, realised sparsely as 4 KiB pages.  Mapping a range only
+// *reserves* its pages (index + permissions, no backing bytes); a reserved
+// page is materialised as a fresh zero page the first time any accessor
+// looks it up, so a process pays for the pages it touches, not for the
+// 256 KiB stack or the heap it maps.  Every query (is_mapped, perms_at,
+// mapped_pages, protect, unmap) treats a reserved page exactly like a
+// materialised one: reservation is invisible to the guest.
+//
+// Page permissions (R/W/X) are the substrate for the DEP / W^X
 // countermeasure (Section III-C1); the poison map is the substrate for the
 // ASan-style run-time checker of Section III-C2.
 //
@@ -24,6 +31,7 @@
 
 #include <array>
 #include <bitset>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -102,7 +110,8 @@ struct PageView {
 class Memory {
 public:
     /// Map [addr, addr+size) with the given permissions, rounding outward to
-    /// page boundaries.  Remapping an existing page just updates permissions.
+    /// page boundaries.  New pages are reserved, not allocated (see above).
+    /// Remapping an existing page just updates permissions.
     void map(std::uint32_t addr, std::uint32_t size, Perm perms);
 
     /// Change permissions of already-mapped pages (mprotect analogue).
@@ -144,9 +153,14 @@ public:
     void raw_write(std::uint32_t addr, std::span<const std::uint8_t> data);
     [[nodiscard]] std::vector<std::uint8_t> raw_read(std::uint32_t addr, std::uint32_t len) const;
 
-    /// Addresses of all mapped pages in increasing order (used by the
-    /// memory-scraping attacker, which scans whatever exists).
+    /// Addresses of all mapped pages, reserved ones included, in increasing
+    /// order (used by the memory-scraping attacker, which scans whatever
+    /// exists).
     [[nodiscard]] std::vector<std::uint32_t> mapped_pages() const;
+
+    /// Number of mapped pages that have host backing (touched at least once);
+    /// the rest of mapped_pages() are reservations.
+    [[nodiscard]] std::size_t resident_pages() const noexcept { return pages_.size(); }
 
 private:
     // The tier-2 engine (engine_fast.cpp) walks pages directly — same
@@ -160,13 +174,22 @@ private:
         std::unique_ptr<std::bitset<kPageSize>> poison; // lazily allocated
     };
 
+    // The only way to reach a page's bytes: materialises a reserved page on
+    // its first lookup (noexcept, so a failed allocation terminates).
     [[nodiscard]] Page* page_at(std::uint32_t addr) noexcept;
     [[nodiscard]] const Page* page_at(std::uint32_t addr) const noexcept;
+    [[nodiscard]] Page* materialise(std::uint32_t index) noexcept;
+    /// Permissions of the page at `index` without materialising it; empty
+    /// when the page is neither materialised nor reserved.
+    [[nodiscard]] std::optional<Perm> mapped_perms(std::uint32_t index) const noexcept;
     Page& page_or_throw(std::uint32_t addr);
     [[nodiscard]] const Page& page_or_throw(std::uint32_t addr) const;
     void touch(Page& p) noexcept { p.generation = ++gen_counter_; }
 
     std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
+    // Mapped but never touched: page index -> permissions.  Disjoint from
+    // pages_; page_at moves an index from here to there.
+    std::unordered_map<std::uint32_t, Perm> reserved_;
     // Machine-wide monotonic mutation counter: generations are never reused,
     // even across an unmap/map cycle of the same page index.
     std::uint64_t gen_counter_ = 0;

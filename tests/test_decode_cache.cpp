@@ -5,9 +5,14 @@
 // generation counters must invalidate stale entries precisely.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
+#include "cc/compiler.hpp"
 #include "core/attack_lab.hpp"
 #include "core/defense.hpp"
 #include "isa/encoder.hpp"
+#include "os/process.hpp"
 #include "vm/decode_cache.hpp"
 #include "vm/machine.hpp"
 #include "vm/memory.hpp"
@@ -232,6 +237,55 @@ TEST(DecodeCacheEquivalence, FullMatrixTrapForTrapIdentical) {
             EXPECT_EQ(with_cache.note, without.note) << where;
         }
     }
+}
+
+// --- Recycled page entries behave like fresh ones -------------------------------
+
+struct ProgramRun {
+    Trap trap;
+    std::uint64_t steps = 0;
+    swsec::os::RunTallies tallies;
+    std::string out;
+};
+
+ProgramRun run_counting_program() {
+    // Loops and calls: tier 2 builds fused entries across the text page.
+    swsec::os::Process p(swsec::cc::compile_program({R"(
+        int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+        int main() {
+          int acc = 0;
+          for (int i = 0; i < 12; i = i + 1) { acc = acc + fib(i) * (i + 3); }
+          write(1, "done\n", 5);
+          return acc & 127;
+        }
+    )"},
+                                                     {}),
+                         swsec::os::SecurityProfile::none(), 7);
+    const RunResult r = p.run();
+    return {r.trap, r.steps, p.tallies(), p.output()};
+}
+
+TEST(DecodeCacheRecycling, RecycledEntriesBehaveLikeFreshOnes) {
+    using namespace swsec::core;
+    // Leave this thread's free list holding entries that built fast ops and
+    // were invalidated: stack shellcode (stores into its own code page) and
+    // code corruption (patches text) both run on tier 2 against the
+    // unprotected platform and return their entries when destroyed.
+    EXPECT_TRUE(run_attack(AttackKind::StackSmashInject, Defense::none(), 1, 2).succeeded);
+    EXPECT_TRUE(run_attack(AttackKind::CodeCorruption, Defense::none(), 1, 2).succeeded);
+
+    const ProgramRun recycled = run_counting_program();
+    ProgramRun fresh;
+    std::thread([&] { fresh = run_counting_program(); }).join(); // empty free list
+
+    EXPECT_EQ(recycled.trap.kind, fresh.trap.kind);
+    EXPECT_EQ(recycled.trap.ip, fresh.trap.ip);
+    EXPECT_EQ(recycled.trap.code, fresh.trap.code);
+    EXPECT_EQ(recycled.steps, fresh.steps);
+    EXPECT_TRUE(recycled.tallies == fresh.tallies);
+    EXPECT_EQ(recycled.out, fresh.out);
+    EXPECT_EQ(fresh.out, "done\n");
+    EXPECT_GT(fresh.tallies.fast_steps, 0u);
 }
 
 } // namespace

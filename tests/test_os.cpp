@@ -224,6 +224,32 @@ TEST(Kernel, SbrkGrowsHeap) {
     EXPECT_TRUE(p.run().exited(0));
 }
 
+TEST(Kernel, HugeSbrkMaterialisesOnlyTouchedPages) {
+    // A guest cannot make the host allocate without bound: growing the heap
+    // by 96 MiB (24 576 pages) only reserves the pages, and touching one
+    // byte materialises one.  The whole range still reads as mapped.
+    Process p(cc::compile_program({R"(
+        int main() {
+          char* a = sbrk(96 * 1024 * 1024);
+          if ((int)a == -1) { return 1; }
+          a[50 * 1024 * 1024] = 'x';
+          return a[50 * 1024 * 1024] == 'x' ? 0 : 2;
+        }
+    )"},
+                                  {}),
+              SecurityProfile::none(), 1);
+    ASSERT_TRUE(p.run().exited(0));
+    const auto& mem = p.machine().memory();
+    const std::uint32_t heap = p.layout().heap_base;
+    constexpr std::uint32_t kHeapPages = 96u * 1024 * 1024 / vm::kPageSize;
+    EXPECT_GE(mem.mapped_pages().size(), kHeapPages);
+    EXPECT_TRUE(mem.is_mapped(heap));
+    EXPECT_TRUE(mem.is_mapped(heap + 96u * 1024 * 1024 - 1));
+    // text, data, the touched stack and the one heap page: a handful, not
+    // thousands.
+    EXPECT_LT(mem.resident_pages(), 16u);
+}
+
 TEST(Kernel, GetRandomIsSeedDeterministic) {
     const char* src = R"(
         int main() { char b[4]; getrandom(b, 4); write(1, b, 4); return 0; }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "isa/encoder.hpp"
@@ -79,6 +81,78 @@ TEST(Memory, UnmapAndRawFault) {
     m.unmap(0x1000, 0x1000);
     EXPECT_FALSE(m.is_mapped(0x1000));
     EXPECT_THROW((void)m.raw_read8(0x1000), swsec::Error);
+}
+
+// --- Reservations: mapped pages materialised on first touch -------------------
+
+TEST(MemoryReservation, UntouchedPagesAreMappedButNotResident) {
+    Memory m;
+    m.map(0x10000, 4 * kPageSize, Perm::RW);
+    EXPECT_EQ(m.resident_pages(), 0u);
+    EXPECT_EQ(m.mapped_pages(),
+              (std::vector<std::uint32_t>{0x10000, 0x11000, 0x12000, 0x13000}));
+    EXPECT_TRUE(m.is_mapped(0x10000));
+    EXPECT_TRUE(m.is_mapped(0x13fff));
+    EXPECT_FALSE(m.is_mapped(0x14000));
+    EXPECT_EQ(m.perms_at(0x12345), Perm::RW);
+    EXPECT_EQ(m.perms_at(0x14000), Perm::None);
+    EXPECT_EQ(m.resident_pages(), 0u); // queries do not materialise
+}
+
+TEST(MemoryReservation, UntouchedPagesReadAsZero) {
+    Memory m;
+    m.map(0x10000, 4 * kPageSize, Perm::RW);
+    // Checked path (machine level).
+    EXPECT_EQ(m.check(0x10ffe, 4, Perm::R, false), AccessFault::None); // straddles two pages
+    EXPECT_EQ(m.read32(0x10ffe), 0u);
+    EXPECT_EQ(m.read8(0x10000), 0u);
+    // Raw path (hardware level).
+    EXPECT_EQ(m.raw_read32(0x12000), 0u);
+    EXPECT_EQ(m.raw_read(0x13000, 16), std::vector<std::uint8_t>(16, 0));
+    EXPECT_EQ(m.resident_pages(), 4u);
+    EXPECT_EQ(m.mapped_pages().size(), 4u);
+}
+
+TEST(MemoryReservation, UntouchedPagesAcceptProtectAndUnmap) {
+    Memory m;
+    m.map(0x10000, 2 * kPageSize, Perm::RW);
+    m.protect(0x10000, 2 * kPageSize, Perm::R);
+    EXPECT_EQ(m.perms_at(0x10000), Perm::R);
+    EXPECT_EQ(m.check(0x10000, 4, Perm::W, false), AccessFault::Permission);
+    EXPECT_EQ(m.check(0x11000, 4, Perm::R, false), AccessFault::None);
+    // Remapping a reserved page updates its permissions like a resident one.
+    m.map(0x10000, kPageSize, Perm::RWX);
+    EXPECT_EQ(m.perms_at(0x10000), Perm::RWX);
+    m.unmap(0x10000, 2 * kPageSize);
+    EXPECT_FALSE(m.is_mapped(0x10000));
+    EXPECT_FALSE(m.is_mapped(0x11000));
+    EXPECT_TRUE(m.mapped_pages().empty());
+    EXPECT_EQ(m.resident_pages(), 0u);
+    EXPECT_EQ(m.check(0x10000, 1, Perm::R, false), AccessFault::Unmapped);
+    EXPECT_THROW(m.protect(0x10000, kPageSize, Perm::R), swsec::Error);
+    EXPECT_THROW((void)m.raw_read8(0x10000), swsec::Error);
+}
+
+TEST(MemoryReservation, FirstTouchAndFirstWriteMoveTheGeneration) {
+    Memory m;
+    m.map(0x1000, kPageSize, Perm::RW);
+    m.map(0x10000, kPageSize, Perm::RW);
+    m.raw_write8(0x1000, 1);
+    const std::uint64_t other = m.generation_of(0x1000);
+    const std::uint64_t fresh = m.generation_of(0x10000); // materialises
+    EXPECT_NE(fresh, 0u);
+    EXPECT_NE(fresh, other);
+    EXPECT_EQ(m.generation_of(0x10000), fresh); // stable until mutated
+    m.write8(0x10010, 0x90);
+    const std::uint64_t written = m.generation_of(0x10000);
+    EXPECT_NE(written, fresh);
+    // An unmap/map cycle yields a reservation whose first touch is a fresh
+    // zero page at a never-seen generation.
+    m.unmap(0x10000, kPageSize);
+    m.map(0x10000, kPageSize, Perm::RW);
+    EXPECT_EQ(m.raw_read8(0x10010), 0u);
+    EXPECT_NE(m.generation_of(0x10000), written);
+    EXPECT_NE(m.generation_of(0x10000), fresh);
 }
 
 // --- Machine semantics ---------------------------------------------------------
@@ -226,6 +300,82 @@ TEST(Machine, WithoutDepDataExecutes) {
     const auto res = r.run(code);
     EXPECT_EQ(res.trap.kind, TrapKind::Halted);
     EXPECT_EQ(r.m.reg(Reg::R0), 7u);
+}
+
+/// Stores `bytes` at [base + 0...] one byte at a time (guest-side writes).
+void emit_byte_stores(Encoder& e, Reg base, const std::vector<std::uint8_t>& bytes) {
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        e.reg_imm32(Op::MovI, Reg::R3, bytes[i]);
+        e.reg_mem(Op::Store8, base, Reg::R3, static_cast<std::int32_t>(i));
+    }
+}
+
+TEST(Machine, ShellcodeOnFreshStackPageInvalidatesDecodeCache) {
+    // The shellcode page is only reserved when the program starts.  The
+    // guest's first store materialises it; it then runs a `ret` from it,
+    // overwrites that with `movi r0, 111; ret`, runs it, patches the
+    // immediate to 222 and runs it again.  Each rewrite must be seen by
+    // every engine: tier 2, tier 1 with the decode cache, and without.
+    Encoder ret_only;
+    ret_only.none(Op::Ret);
+    Encoder shell;
+    shell.reg_imm32(Op::MovI, Reg::R0, 111);
+    shell.none(Op::Ret);
+
+    Encoder code;
+    code.reg_imm32(Op::MovI, Reg::R1, 0xe000);
+    emit_byte_stores(code, Reg::R1, ret_only.bytes());
+    code.reg(Op::CallR, Reg::R1);
+    emit_byte_stores(code, Reg::R1, shell.bytes());
+    code.reg(Op::CallR, Reg::R1);
+    code.reg_reg(Op::MovR, Reg::R4, Reg::R0);
+    code.reg_imm32(Op::MovI, Reg::R3, 222);
+    code.reg_mem(Op::Store8, Reg::R1, Reg::R3, 2); // low byte of movi's imm32
+    code.reg(Op::CallR, Reg::R1);
+    code.none(Op::Halt);
+
+    std::uint64_t steps = 0;
+    for (const auto& [fast, cache] : {std::pair{true, true}, {false, true}, {false, false}}) {
+        MachineOptions opts;
+        opts.fast_engine = fast;
+        opts.decode_cache = cache;
+        Runner r(opts);
+        r.m.memory().map(0xe000, 0x1000, Perm::RWX);
+        ASSERT_EQ(r.m.memory().resident_pages(), 0u);
+        const auto res = r.run(code);
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted) << "fast=" << fast << " cache=" << cache;
+        EXPECT_EQ(r.m.reg(Reg::R4), 111u) << "fast=" << fast << " cache=" << cache;
+        EXPECT_EQ(r.m.reg(Reg::R0), 222u) << "fast=" << fast << " cache=" << cache;
+        if (cache) {
+            EXPECT_GE(r.m.decode_cache().invalidations(), 2u);
+        }
+        if (steps == 0) {
+            steps = res.steps;
+        }
+        EXPECT_EQ(res.steps, steps) << "fast=" << fast << " cache=" << cache;
+    }
+}
+
+TEST(DecodeCacheReservation, LookupOnFreshPageThenWriteInvalidates) {
+    // The decode cache's first look at a reserved page materialises it (all
+    // zero bytes decode as halt); the first write must then invalidate.
+    Memory mem;
+    mem.map(0xe000, 0x1000, Perm::RWX);
+    DecodeCache dc;
+    const auto* zero = dc.lookup(mem, 0xe000, Perm::R);
+    ASSERT_NE(zero, nullptr);
+    EXPECT_EQ(zero->op, Op::Halt);
+    EXPECT_EQ(mem.resident_pages(), 1u);
+    Encoder e;
+    e.reg_imm32(Op::MovI, Reg::R0, 5);
+    mem.write8(0xe000, e.bytes()[0]);
+    mem.write8(0xe001, e.bytes()[1]);
+    mem.write8(0xe002, e.bytes()[2]);
+    const auto* insn = dc.lookup(mem, 0xe000, Perm::R);
+    ASSERT_NE(insn, nullptr);
+    EXPECT_EQ(insn->op, Op::MovI);
+    EXPECT_EQ(insn->imm, 5);
+    EXPECT_EQ(dc.invalidations(), 1u);
 }
 
 TEST(Machine, ShadowStackCatchesReturnHijack) {
