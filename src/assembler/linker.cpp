@@ -61,7 +61,7 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
                 throw Error("duplicate symbol '" + sym.name + "' (unit " + objects[i].name + ")");
             }
             if (sym.is_func && sym.section == SectionKind::Text) {
-                img.func_offsets.push_back(is.offset);
+                img.funcs.emplace_back(is.offset, sym.name);
             }
             if (sym.is_entry && sym.section == SectionKind::Text) {
                 img.entry_offsets.push_back(is.offset);
@@ -119,7 +119,7 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
         }
     }
 
-    std::sort(img.func_offsets.begin(), img.func_offsets.end());
+    std::sort(img.funcs.begin(), img.funcs.end());
     std::sort(img.entry_offsets.begin(), img.entry_offsets.end());
     return img;
 }

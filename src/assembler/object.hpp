@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace swsec::objfmt {
@@ -108,7 +109,9 @@ struct Image {
     std::uint32_t bss_size = 0;
     std::unordered_map<std::string, ImageSymbol> symbols;
     std::vector<ImageReloc> relocs;
-    std::vector<std::uint32_t> func_offsets;  // text offsets of function starts
+    // (text offset, name) of every function start, sorted by offset, then
+    // name: the coarse-CFI targets and the symbolizer's function table.
+    std::vector<std::pair<std::uint32_t, std::string>> funcs;
     std::vector<std::uint32_t> entry_offsets; // text offsets of PMA entry points
     std::vector<ImageLineEntry> line_table;   // sorted by offset
     std::vector<std::string> line_files;      // source file names, indexed by `file`

@@ -503,10 +503,12 @@ profile::Registry fault_sweep_metrics(const FaultSweepReport& report) {
     reg.counter_add("statecont_crashes_total", base, report.statecont.crashes);
     reg.counter_add("statecont_violations_total", base, report.statecont.violations.size());
     // The baseline cells carry the same per-victim platform tallies the
-    // matrix aggregates; fold them in under this harness's label.
+    // matrix aggregates; fold them in under this harness's label, one
+    // registration per series.
+    os::RunTallies tallies;
     for (const MatrixCell& c : report.baseline_cells) {
         const AttackOutcome& o = c.outcome;
-        add_run_tallies(reg, base, o);
+        tallies += o;
         // Trap latency over the healthy-platform baseline: same definition
         // as the matrix harness, under this harness's label so the two
         // exports stay independently diffable.
@@ -516,6 +518,9 @@ profile::Registry fault_sweep_metrics(const FaultSweepReport& report) {
                                    {"attack", attack_name(c.attack)}},
                                   o.steps);
         }
+    }
+    if (!report.baseline_cells.empty()) {
+        add_run_tallies(reg, base, tallies);
     }
     reg.set_help("sweep_trap_latency_steps",
                  "Victim instructions retired before a defense trapped the attack "

@@ -119,10 +119,14 @@ std::string matrix_cells_jsonl(const std::vector<MatrixCell>& cells) {
 profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
     profile::Registry reg;
     const profile::Labels base = {{"harness", "matrix"}};
+    // The platform tallies and verdict totals under `base` are sums over
+    // cells: fold them here and register each series once.
+    os::RunTallies tallies;
+    std::uint64_t succeeded = 0;
     for (const auto& c : cells) {
         const AttackOutcome& o = c.outcome;
-        reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total", base);
-        add_run_tallies(reg, base, o);
+        tallies += o;
+        succeeded += o.succeeded ? 1 : 0;
         // Per-defense verdicts: which configurations are holding the line.
         reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total",
                         {{"harness", "matrix"}, {"defense", c.defense}});
@@ -135,6 +139,16 @@ profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
                                   {{"harness", "matrix"}, {"attack", attack_name(c.attack)}},
                                   o.steps);
         }
+    }
+    if (!cells.empty()) {
+        add_run_tallies(reg, base, tallies);
+    }
+    // A verdict series exists only once a cell reached that verdict.
+    if (succeeded > 0) {
+        reg.counter_add("attacks_succeeded_total", base, succeeded);
+    }
+    if (succeeded < cells.size()) {
+        reg.counter_add("attacks_blocked_total", base, cells.size() - succeeded);
     }
     reg.set_help("matrix_trap_latency_steps",
                  "Victim instructions retired before a defense trapped the attack");

@@ -51,10 +51,10 @@ struct MatrixCell {
 [[nodiscard]] std::string matrix_cell_json(const MatrixCell& cell);
 
 /// Aggregate the cells into a metrics registry (labels: harness=matrix):
-/// attack verdict counts, per-attack trap latency and every victim's
-/// platform tallies (add_run_tallies).  Aggregation runs in cell-index
-/// order over per-cell deterministic numbers, so the JSON export is
-/// byte-identical for any jobs value.  The image-cache gauges are Volatile
+/// attack verdict counts, per-attack trap latency and the victims' platform
+/// tallies (summed, then registered once by add_run_tallies).  Aggregation
+/// runs in cell-index order over per-cell deterministic numbers, so the
+/// JSON export is byte-identical for any jobs value.  The image-cache gauges are Volatile
 /// (schedule-dependent; excluded from the default export).
 [[nodiscard]] profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells);
 

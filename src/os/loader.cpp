@@ -187,9 +187,9 @@ ProcessLayout load_image(vm::Machine& machine, const Image& image, const LoadOpt
 
     if (opts.install_cfi_targets) {
         std::vector<std::uint32_t> targets;
-        targets.reserve(image.func_offsets.size());
-        for (const std::uint32_t off : image.func_offsets) {
-            targets.push_back(layout.text_base + off);
+        targets.reserve(image.funcs.size());
+        for (const auto& func : image.funcs) {
+            targets.push_back(layout.text_base + func.first);
         }
         machine.set_cfi_targets(std::move(targets));
     }

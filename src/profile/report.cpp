@@ -52,8 +52,8 @@ ProfileReport build_report(const Profiler& prof, const objfmt::Image& image,
     // leader's retire count is the block's execution count — exact, not
     // sampled.
     std::set<std::uint32_t> leaders;
-    for (const std::uint32_t off : image.func_offsets) {
-        leaders.insert(text_base + off);
+    for (const auto& func : image.funcs) {
+        leaders.insert(text_base + func.first);
     }
     for (const auto& [key, count] : prof.edge_counts()) {
         (void)count;

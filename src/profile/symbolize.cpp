@@ -13,15 +13,7 @@ std::string hex32(std::uint32_t v) {
 
 Symbolizer::Symbolizer(const objfmt::Image& image, std::uint32_t text_base)
     : image_(&image), text_base_(text_base),
-      text_size_(static_cast<std::uint32_t>(image.text.size())) {
-    funcs_.reserve(image.symbols.size());
-    for (const auto& [name, sym] : image.symbols) {
-        if (sym.is_func && sym.section == objfmt::SectionKind::Text) {
-            funcs_.emplace_back(sym.offset, name);
-        }
-    }
-    std::sort(funcs_.begin(), funcs_.end());
-}
+      text_size_(static_cast<std::uint32_t>(image.text.size())) {}
 
 SourcePos Symbolizer::resolve(std::uint32_t pc) const {
     SourcePos pos;
@@ -29,11 +21,13 @@ SourcePos Symbolizer::resolve(std::uint32_t pc) const {
     if (off >= text_size_) {
         return pos;
     }
-    // Enclosing function: last .func symbol at or before `off`.
+    // Enclosing function: last .func symbol at or before `off` (at a shared
+    // offset, the last name in sort order).
+    const auto& funcs = image_->funcs;
     const auto fit = std::upper_bound(
-        funcs_.begin(), funcs_.end(), off,
+        funcs.begin(), funcs.end(), off,
         [](std::uint32_t o, const auto& f) { return o < f.first; });
-    if (fit != funcs_.begin()) {
+    if (fit != funcs.begin()) {
         pos.function = std::prev(fit)->second;
     }
     // Line: last line-table entry at or before `off`.

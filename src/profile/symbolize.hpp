@@ -26,7 +26,8 @@ struct SourcePos {
 class Symbolizer {
 public:
     /// `image` must outlive the symbolizer; `text_base` is the loaded (ASLR)
-    /// base of the text segment.
+    /// base of the text segment.  Construction copies nothing: functions
+    /// resolve through the image's link-time table (Image::funcs).
     Symbolizer(const objfmt::Image& image, std::uint32_t text_base);
 
     [[nodiscard]] SourcePos resolve(std::uint32_t pc) const;
@@ -45,8 +46,6 @@ private:
     const objfmt::Image* image_;
     std::uint32_t text_base_;
     std::uint32_t text_size_;
-    // (text offset, name) of every .func symbol, sorted by offset.
-    std::vector<std::pair<std::uint32_t, std::string>> funcs_;
 };
 
 /// Render "0x%08x".

@@ -596,7 +596,7 @@ dispatch_op:
         }
         SWSEC_CASE(CallR) {
             const std::uint32_t target = regs[op->a];
-            if (cfi && !m.cfi_targets_.contains(target)) [[unlikely]] {
+            if (cfi && !m.is_cfi_target(target)) [[unlikely]] {
                 SWSEC_TRAP_EXIT(1, ip, TrapKind::CfiViolation, target,
                                 "indirect branch to non-approved target");
             }
@@ -610,7 +610,7 @@ dispatch_op:
         }
         SWSEC_CASE(JmpR) {
             const std::uint32_t target = regs[op->a];
-            if (cfi && !m.cfi_targets_.contains(target)) [[unlikely]] {
+            if (cfi && !m.is_cfi_target(target)) [[unlikely]] {
                 SWSEC_TRAP_EXIT(1, ip, TrapKind::CfiViolation, target,
                                 "indirect branch to non-approved target");
             }

@@ -43,8 +43,16 @@ bool is_control_flow(Op op) noexcept {
 } // namespace
 
 void Machine::set_cfi_targets(std::vector<std::uint32_t> targets) {
-    cfi_targets_.clear();
-    cfi_targets_.insert(targets.begin(), targets.end());
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    cfi_targets_ = std::move(targets);
+}
+
+void Machine::add_cfi_target(std::uint32_t target) {
+    const auto it = std::lower_bound(cfi_targets_.begin(), cfi_targets_.end(), target);
+    if (it == cfi_targets_.end() || *it != target) {
+        cfi_targets_.insert(it, target);
+    }
 }
 
 int Machine::add_protected_module(ProtectedModule module) {
@@ -383,7 +391,7 @@ bool Machine::pop32(std::uint32_t& out) {
 }
 
 bool Machine::check_indirect_target(std::uint32_t target) {
-    if (opts_.coarse_cfi && !cfi_targets_.contains(target)) {
+    if (opts_.coarse_cfi && !is_cfi_target(target)) {
         set_trap(TrapKind::CfiViolation, target, "indirect branch to non-approved target");
         return false;
     }

@@ -16,9 +16,9 @@
 // platform the classic attacks of Section III assume.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -127,9 +127,14 @@ public:
     [[nodiscard]] const Memory& memory() const noexcept { return mem_; }
 
     /// Register the approved indirect-branch targets for coarse CFI
-    /// (normally every function entry in the loaded image).
+    /// (normally every function entry in the loaded image).  Any order,
+    /// duplicates allowed; replaces the previous set.
     void set_cfi_targets(std::vector<std::uint32_t> targets);
-    void add_cfi_target(std::uint32_t target) { cfi_targets_.insert(target); }
+    void add_cfi_target(std::uint32_t target);
+    /// Membership in the approved set (binary search over the sorted table).
+    [[nodiscard]] bool is_cfi_target(std::uint32_t target) const noexcept {
+        return std::binary_search(cfi_targets_.begin(), cfi_targets_.end(), target);
+    }
 
     /// Install a protected module descriptor (PMA "hardware" register).
     /// Returns the module index.
@@ -301,7 +306,7 @@ private:
 
     std::array<Capability, kNumCaps> caps_{};
     std::vector<std::uint32_t> shadow_stack_;
-    std::unordered_set<std::uint32_t> cfi_targets_;
+    std::vector<std::uint32_t> cfi_targets_; // sorted, duplicate-free
     std::vector<ProtectedModule> modules_;
     int current_module_ = kNoModule;
 

@@ -11,6 +11,9 @@ namespace swsec::vm {
 namespace {
 constexpr std::uint32_t page_index(std::uint32_t addr) noexcept { return addr >> kPageShift; }
 constexpr std::uint32_t page_offset(std::uint32_t addr) noexcept { return addr & (kPageSize - 1); }
+// Ordering for lower_bound over the range table: the first range not
+// ending before page `i` is the only one that can hold it.
+constexpr auto ends_before = [](const auto& range, std::uint32_t i) { return range.last < i; };
 } // namespace
 
 Memory::Page* Memory::page_at(std::uint32_t addr) noexcept {
@@ -26,29 +29,105 @@ Memory::Page* Memory::page_at(std::uint32_t addr) noexcept {
 }
 
 Memory::Page* Memory::materialise(std::uint32_t index) noexcept {
-    const auto r = reserved_.find(index);
-    if (r == reserved_.end()) {
+    const Range* r = range_of(index);
+    if (r == nullptr) {
         return nullptr;
     }
+    // The range keeps covering the page: a first touch never edits ranges_.
     auto page = std::make_unique<Page>(); // zero-filled
-    page->perms = r->second;
+    page->perms = r->perms;
     touch(*page);
-    reserved_.erase(r);
     return pages_.emplace(index, std::move(page)).first->second.get();
 }
 
 std::optional<Perm> Memory::mapped_perms(std::uint32_t index) const noexcept {
     if (index == cached_index_) {
-        // A cached lookup never holds a reservation: page_at materialised it.
+        // page_at materialised whatever it cached; null means unmapped.
         return cached_page_ ? std::optional<Perm>(cached_page_->perms) : std::nullopt;
     }
-    if (const auto it = pages_.find(index); it != pages_.end()) {
-        return it->second->perms;
-    }
-    if (const auto r = reserved_.find(index); r != reserved_.end()) {
-        return r->second;
+    if (const Range* r = range_of(index)) {
+        return r->perms;
     }
     return std::nullopt;
+}
+
+const Memory::Range* Memory::range_of(std::uint32_t index) const noexcept {
+    const auto it = std::lower_bound(ranges_.begin(), ranges_.end(), index, ends_before);
+    return (it != ranges_.end() && it->first <= index) ? &*it : nullptr;
+}
+
+void Memory::assign(std::uint32_t first, std::uint32_t last, std::optional<Perm> perms) {
+    // [lo, hi) are the ranges overlapping [first, last].
+    auto lo = std::lower_bound(ranges_.begin(), ranges_.end(), first, ends_before);
+    auto hi = std::upper_bound(lo, ranges_.end(), last,
+                               [](std::uint32_t i, const Range& r) { return i < r.first; });
+    // Their replacement: the uncovered remnants on either side plus the new
+    // range, merged where adjacent pieces share permissions.
+    Range repl[3]{};
+    std::size_t n = 0;
+    const auto push = [&](Range r) {
+        if (n > 0 && repl[n - 1].last + 1 == r.first && repl[n - 1].perms == r.perms) {
+            repl[n - 1].last = r.last;
+        } else {
+            repl[n++] = r;
+        }
+    };
+    if (lo != hi && lo->first < first) {
+        push({lo->first, first - 1, lo->perms});
+    }
+    if (perms) {
+        push({first, last, *perms});
+    }
+    if (lo != hi && std::prev(hi)->last > last) {
+        push({last + 1, std::prev(hi)->last, std::prev(hi)->perms});
+    }
+    if (n > 0 && lo != ranges_.begin() && std::prev(lo)->last + 1 == repl[0].first &&
+        std::prev(lo)->perms == repl[0].perms) {
+        --lo;
+        repl[0].first = lo->first;
+    }
+    if (n > 0 && hi != ranges_.end() && repl[n - 1].last + 1 == hi->first &&
+        hi->perms == repl[n - 1].perms) {
+        repl[n - 1].last = hi->last;
+        ++hi;
+    }
+    const auto old = static_cast<std::size_t>(hi - lo);
+    if (n <= old) {
+        std::copy(repl, repl + n, lo);
+        ranges_.erase(lo + static_cast<std::ptrdiff_t>(n), hi);
+    } else {
+        std::copy(repl, repl + old, lo);
+        ranges_.insert(hi, repl + old, repl + n);
+    }
+}
+
+void Memory::restamp_resident(std::uint32_t first, std::uint32_t last, Perm perms) {
+    const auto restamp = [&](Page& p) {
+        p.perms = perms;
+        touch(p);
+    };
+    if (std::uint64_t{last} - first < pages_.size()) {
+        for (std::uint32_t idx = first;; ++idx) {
+            if (const auto it = pages_.find(idx); it != pages_.end()) {
+                restamp(*it->second);
+            }
+            if (idx == last) {
+                return;
+            }
+        }
+    }
+    // Fewer resident pages than the range spans (a fresh stack or heap
+    // mapping): scan those instead, keeping increasing page order.
+    std::vector<std::pair<std::uint32_t, Page*>> hits;
+    for (const auto& [idx, page] : pages_) {
+        if (idx >= first && idx <= last) {
+            hits.emplace_back(idx, page.get());
+        }
+    }
+    std::sort(hits.begin(), hits.end());
+    for (const auto& hit : hits) {
+        restamp(*hit.second);
+    }
 }
 
 const Memory::Page* Memory::page_at(std::uint32_t addr) const noexcept {
@@ -73,17 +152,8 @@ void Memory::map(std::uint32_t addr, std::uint32_t size, Perm perms) {
     }
     const std::uint32_t first = page_index(addr);
     const std::uint32_t last = page_index(addr + size - 1);
-    for (std::uint32_t idx = first;; ++idx) {
-        if (const auto it = pages_.find(idx); it != pages_.end()) {
-            it->second->perms = perms;
-            touch(*it->second);
-        } else {
-            reserved_[idx] = perms;
-        }
-        if (idx == last) {
-            break;
-        }
-    }
+    assign(first, last, perms);
+    restamp_resident(first, last, perms);
     cached_index_ = 0xffffffff;
     cached_page_ = nullptr;
 }
@@ -94,18 +164,22 @@ void Memory::protect(std::uint32_t addr, std::uint32_t size, Perm perms) {
     }
     const std::uint32_t first = page_index(addr);
     const std::uint32_t last = page_index(addr + size - 1);
-    for (std::uint32_t idx = first;; ++idx) {
-        if (const auto it = pages_.find(idx); it != pages_.end()) {
-            it->second->perms = perms;
-            touch(*it->second);
-        } else if (const auto r = reserved_.find(idx); r != reserved_.end()) {
-            r->second = perms; // materialisation will stamp a fresh generation
-        } else {
-            throw Error("protect of unmapped page at " + hex32(idx << kPageShift));
-        }
-        if (idx == last) {
-            break;
-        }
+    // Pages [first, end) are mapped; `end` is the first hole, if any.  The
+    // pages before a hole take the new permissions, as a page-by-page walk
+    // would have left them.
+    std::uint32_t end = first;
+    for (auto it = std::lower_bound(ranges_.begin(), ranges_.end(), first, ends_before);
+         it != ranges_.end() && it->first <= end && end <= last; ++it) {
+        end = it->last + 1;
+    }
+    if (end > first) {
+        const std::uint32_t stop = std::min(last, end - 1);
+        assign(first, stop, perms);
+        // Reserved pages need no stamp: materialisation draws a fresh one.
+        restamp_resident(first, stop, perms);
+    }
+    if (end <= last) {
+        throw Error("protect of unmapped page at " + hex32(end << kPageShift));
     }
 }
 
@@ -115,12 +189,16 @@ void Memory::unmap(std::uint32_t addr, std::uint32_t size) {
     }
     const std::uint32_t first = page_index(addr);
     const std::uint32_t last = page_index(addr + size - 1);
-    for (std::uint32_t idx = first;; ++idx) {
-        pages_.erase(idx);
-        reserved_.erase(idx);
-        if (idx == last) {
-            break;
+    assign(first, last, std::nullopt);
+    if (std::uint64_t{last} - first < pages_.size()) {
+        for (std::uint32_t idx = first;; ++idx) {
+            pages_.erase(idx);
+            if (idx == last) {
+                break;
+            }
         }
+    } else {
+        std::erase_if(pages_, [&](const auto& kv) { return kv.first >= first && kv.first <= last; });
     }
     cached_index_ = 0xffffffff;
     cached_page_ = nullptr;
@@ -265,6 +343,18 @@ void Memory::raw_write8(std::uint32_t addr, std::uint8_t v) {
 }
 
 void Memory::raw_write32(std::uint32_t addr, std::uint32_t v) {
+    if (page_offset(addr) <= kPageSize - 4) {
+        // One lookup and one generation bump, as write32 does (relocation
+        // patching is almost all single-page words).
+        Page& p = page_or_throw(addr);
+        std::uint8_t* d = p.data.data() + page_offset(addr);
+        d[0] = static_cast<std::uint8_t>(v & 0xff);
+        d[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
+        d[2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
+        d[3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
+        touch(p);
+        return;
+    }
     raw_write8(addr, static_cast<std::uint8_t>(v & 0xff));
     raw_write8(addr + 1, static_cast<std::uint8_t>((v >> 8) & 0xff));
     raw_write8(addr + 2, static_cast<std::uint8_t>((v >> 16) & 0xff));
@@ -302,15 +392,22 @@ std::vector<std::uint8_t> Memory::raw_read(std::uint32_t addr, std::uint32_t len
 }
 
 std::vector<std::uint32_t> Memory::mapped_pages() const {
+    // Resident pages lie inside ranges, so the ranges alone list each
+    // mapped page once, in order.
+    std::size_t n = 0;
+    for (const Range& r : ranges_) {
+        n += r.last - r.first + 1;
+    }
     std::vector<std::uint32_t> out;
-    out.reserve(pages_.size() + reserved_.size());
-    for (const auto& [idx, page] : pages_) {
-        out.push_back(idx << kPageShift);
+    out.reserve(n);
+    for (const Range& r : ranges_) {
+        for (std::uint32_t idx = r.first;; ++idx) {
+            out.push_back(idx << kPageShift);
+            if (idx == r.last) {
+                break;
+            }
+        }
     }
-    for (const auto& [idx, perms] : reserved_) {
-        out.push_back(idx << kPageShift);
-    }
-    std::sort(out.begin(), out.end());
     return out;
 }
 

@@ -2,12 +2,14 @@
 //
 // This models the 32-bit virtual address space of Fig. 1(c): a flat array of
 // 2^32 bytes, realised sparsely as 4 KiB pages.  Mapping a range only
-// *reserves* its pages (index + permissions, no backing bytes); a reserved
-// page is materialised as a fresh zero page the first time any accessor
-// looks it up, so a process pays for the pages it touches, not for the
-// 256 KiB stack or the heap it maps.  Every query (is_mapped, perms_at,
-// mapped_pages, protect, unmap) treats a reserved page exactly like a
-// materialised one: reservation is invisible to the guest.
+// *reserves* it (one sorted {first, last, perms} page range, no backing
+// bytes); a reserved page is materialised as a fresh zero page the first
+// time any accessor looks it up, so a process pays for the pages it
+// touches, not for the 256 KiB stack or the heap it maps.  A materialised
+// page *shadows* its range: the range still covers it, so a first touch
+// never splits or shifts the range table.  Every query (is_mapped,
+// perms_at, mapped_pages, protect, unmap) treats a reserved page exactly
+// like a materialised one: reservation is invisible to the guest.
 //
 // Page permissions (R/W/X) are the substrate for the DEP / W^X
 // countermeasure (Section III-C1); the poison map is the substrate for the
@@ -182,14 +184,31 @@ private:
     /// Permissions of the page at `index` without materialising it; empty
     /// when the page is neither materialised nor reserved.
     [[nodiscard]] std::optional<Perm> mapped_perms(std::uint32_t index) const noexcept;
+
+    // A maximal run of mapped pages [first, last] (page indices) sharing
+    // one set of permissions.
+    struct Range {
+        std::uint32_t first = 0;
+        std::uint32_t last = 0;
+        Perm perms = Perm::None;
+    };
+    [[nodiscard]] const Range* range_of(std::uint32_t index) const noexcept;
+    /// Make [first, last] one range with `perms`, or unmapped when empty:
+    /// splits the ranges it overlaps and merges equal-perm neighbours.
+    void assign(std::uint32_t first, std::uint32_t last, std::optional<Perm> perms);
+    /// Give the materialised pages in [first, last] `perms` and a fresh
+    /// generation, in increasing page order.
+    void restamp_resident(std::uint32_t first, std::uint32_t last, Perm perms);
     Page& page_or_throw(std::uint32_t addr);
     [[nodiscard]] const Page& page_or_throw(std::uint32_t addr) const;
     void touch(Page& p) noexcept { p.generation = ++gen_counter_; }
 
+    // Materialised pages; each lies inside a range of ranges_ and carries
+    // the same permissions (map and protect update both).
     std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
-    // Mapped but never touched: page index -> permissions.  Disjoint from
-    // pages_; page_at moves an index from here to there.
-    std::unordered_map<std::uint32_t, Perm> reserved_;
+    // Every mapped page, touched or not: sorted, disjoint, and no two
+    // adjacent ranges share permissions.
+    std::vector<Range> ranges_;
     // Machine-wide monotonic mutation counter: generations are never reused,
     // even across an unmap/map cycle of the same page index.
     std::uint64_t gen_counter_ = 0;

@@ -176,7 +176,9 @@ TEST(Linker, FuncAndEntryOffsetsCollected) {
                             "a");
     const std::vector<objfmt::ObjectFile> objs = {a};
     const auto img = assembler::link(objs);
-    EXPECT_EQ(img.func_offsets.size(), 2u);
+    const std::vector<std::pair<std::uint32_t, std::string>> funcs = {
+        {img.symbol("f").offset, "f"}, {img.symbol("g").offset, "g"}};
+    EXPECT_EQ(img.funcs, funcs);
     ASSERT_EQ(img.entry_offsets.size(), 1u);
     EXPECT_EQ(img.entry_offsets[0], img.symbol("g").offset);
 }

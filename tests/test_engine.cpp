@@ -240,6 +240,31 @@ TEST(EngineAB, ShadowStackAndCfiReplicatedInTier2) {
     EXPECT_EQ(rca.trap.ip, rcb.trap.ip);
     EXPECT_EQ(rca.trap.addr, rcb.trap.addr);
     EXPECT_GT(ca.m.dispatch_stats().fast_steps, 0u);
+
+    // The CFI table from unsorted, duplicated input plus a later
+    // add_cfi_target: both tiers approve and reject the same targets.
+    for (const std::uint32_t target : {0x1700u, 0x1800u, 0x1900u, 0x1a00u, 0x1a04u}) {
+        Encoder p;
+        p.reg_imm32(Op::MovI, Reg::R0, target);
+        p.reg(Op::JmpR, Reg::R0);
+        const auto run_on = [&](Runner& r) {
+            r.m.set_cfi_targets({0x1900, 0x1800, 0x1900, 0x1800});
+            r.m.add_cfi_target(0x1a00);
+            r.m.memory().raw_write8(target, static_cast<std::uint8_t>(Op::Halt));
+            return r.run(p);
+        };
+        Runner ta(cfast);
+        Runner tb(cslow);
+        const auto ra2 = run_on(ta);
+        const auto rb2 = run_on(tb);
+        const bool approved = target == 0x1800 || target == 0x1900 || target == 0x1a00;
+        EXPECT_EQ(ra2.trap.kind, approved ? TrapKind::Halted : TrapKind::CfiViolation) << target;
+        EXPECT_EQ(ra2.trap.kind, rb2.trap.kind) << target;
+        EXPECT_EQ(ra2.trap.ip, rb2.trap.ip) << target;
+        EXPECT_EQ(ra2.trap.addr, rb2.trap.addr) << target;
+        EXPECT_EQ(ra2.steps, rb2.steps) << target;
+        EXPECT_GT(ta.m.dispatch_stats().fast_steps, 0u) << target;
+    }
 }
 
 // --- deopt: budget boundaries ------------------------------------------------

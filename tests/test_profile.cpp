@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "assembler/assembler.hpp"
 #include "assembler/linker.hpp"
@@ -13,6 +14,7 @@
 #include "core/attack_lab.hpp"
 #include "core/defense.hpp"
 #include "core/matrix.hpp"
+#include "core/run_metrics.hpp"
 #include "core/fault_sweep.hpp"
 #include "core/scenario_table.hpp"
 #include "fuzz/fuzz.hpp"
@@ -87,6 +89,23 @@ TEST(LineTable, LinkerBiasesOffsetsAndDedupesFiles) {
     EXPECT_EQ(img.line_table[1].line, 9u);
     // b's entry is biased past a's text.
     EXPECT_GT(img.line_table[1].offset, img.line_table[0].offset);
+}
+
+TEST(LineTable, SymbolizerResolvesSharedOffsetsToTheLastName) {
+    // Two .func labels on one offset: the link-time table keeps both, sorted
+    // by (offset, name), and the symbolizer names the later one.
+    const std::vector<objfmt::ObjectFile> objs{assembler::assemble(
+        ".text\n.func zeta\n.func alpha\nzeta:\nalpha:\n    nop\n.func mid\nmid:\n    ret\n",
+        "a")};
+    const auto img = assembler::link(objs);
+    const std::uint32_t mid = img.symbol("mid").offset;
+    const std::vector<std::pair<std::uint32_t, std::string>> funcs = {
+        {0, "alpha"}, {0, "zeta"}, {mid, "mid"}};
+    EXPECT_EQ(img.funcs, funcs);
+    const profile::Symbolizer sym(img, 0x08048000);
+    EXPECT_EQ(sym.function_at(0x08048000), "zeta");
+    EXPECT_EQ(sym.function_at(0x08048000 + mid), "mid");
+    EXPECT_EQ(sym.function_at(0x08048000 + static_cast<std::uint32_t>(img.text.size())), "");
 }
 
 TEST(LineTable, CompilerEmitsLineDirectives) {
@@ -520,6 +539,123 @@ TEST(Metrics, HarnessesExportTheSamePlatformTallyFamilies) {
             << harness;
         EXPECT_GT(reg->counter("vm_dispatch_fast_steps_total", base), 0u) << harness;
     }
+}
+
+// The per-cell exports as they were before the tallies were folded: every
+// cell registers its own tally and verdict series.  Reference oracles for
+// the folded matrix_metrics / fault_sweep_metrics below.
+profile::Registry per_cell_matrix_metrics(const std::vector<core::MatrixCell>& cells) {
+    profile::Registry reg;
+    const profile::Labels base = {{"harness", "matrix"}};
+    for (const auto& c : cells) {
+        const core::AttackOutcome& o = c.outcome;
+        reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total", base);
+        core::add_run_tallies(reg, base, o);
+        reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total",
+                        {{"harness", "matrix"}, {"defense", c.defense}});
+        if (!o.succeeded) {
+            reg.histogram_observe("matrix_trap_latency_steps",
+                                  {{"harness", "matrix"}, {"attack", core::attack_name(c.attack)}},
+                                  o.steps);
+        }
+    }
+    reg.set_help("matrix_trap_latency_steps",
+                 "Victim instructions retired before a defense trapped the attack");
+    core::set_image_cache_gauges(reg, base);
+    return reg;
+}
+
+profile::Registry per_cell_fault_sweep_metrics(const core::FaultSweepReport& report) {
+    profile::Registry reg;
+    const profile::Labels base = {{"harness", "fault-sweep"}};
+    reg.counter_add("sweep_cells_total", base, report.cells);
+    reg.counter_add("baseline_blocked_total", base, report.baseline_blocked);
+    reg.counter_add("baseline_success_total", base, report.baseline_success);
+    reg.counter_add("fail_open_violations_total", base, report.violations.size());
+    reg.counter_add("glitched_check_flips_total", base, report.glitched.size());
+    for (const core::ClassTally& t : report.tallies) {
+        const profile::Labels cls = {{"harness", "fault-sweep"},
+                                     {"class", fault::fault_class_name(t.cls)}};
+        reg.counter_add("fault_windows_total", cls, t.windows);
+        reg.counter_add("fault_power_cuts_total", cls, t.power_cut);
+        reg.counter_add("fault_still_blocked_total", cls, t.still_blocked);
+        reg.counter_add("fail_open_flips_total", cls, t.fail_open);
+        reg.counter_add("fault_glitched_checks_total", cls, t.glitched_check);
+    }
+    reg.counter_add("statecont_windows_total", base, report.statecont.windows);
+    reg.counter_add("statecont_crashes_total", base, report.statecont.crashes);
+    reg.counter_add("statecont_violations_total", base, report.statecont.violations.size());
+    for (const core::MatrixCell& c : report.baseline_cells) {
+        const core::AttackOutcome& o = c.outcome;
+        core::add_run_tallies(reg, base, o);
+        if (!o.succeeded) {
+            reg.histogram_observe("sweep_trap_latency_steps",
+                                  {{"harness", "fault-sweep"},
+                                   {"attack", core::attack_name(c.attack)}},
+                                  o.steps);
+        }
+    }
+    reg.set_help("sweep_trap_latency_steps",
+                 "Victim instructions retired before a defense trapped the attack "
+                 "(healthy-platform baseline cells)");
+    core::set_image_cache_gauges(reg, base);
+    return reg;
+}
+
+/// The cells with the given verdict, or all of them.
+std::vector<core::MatrixCell> cells_where(const std::vector<core::MatrixCell>& cells,
+                                          std::optional<bool> succeeded) {
+    std::vector<core::MatrixCell> out;
+    for (const auto& c : cells) {
+        if (!succeeded || c.outcome.succeeded == *succeeded) {
+            out.push_back(c);
+        }
+    }
+    return out;
+}
+
+TEST(Metrics, FoldedTalliesExportTheSameBytesAsPerCellRegistration) {
+    const auto all = core::run_matrix(1001, 2002, 1);
+    core::FaultSweepOptions sweep_opts;
+    sweep_opts.windows_per_class = 2;
+    const core::FaultSweepReport sweep = core::run_fault_sweep(sweep_opts);
+
+    const std::vector<std::pair<const char*, std::optional<bool>>> slices = {
+        {"mixed", std::nullopt}, {"all succeeded", true}, {"all blocked", false}};
+    for (const auto& [what, verdict] : slices) {
+        const auto cells = cells_where(all, verdict);
+        ASSERT_FALSE(cells.empty()) << what;
+        const profile::Registry folded = core::matrix_metrics(cells);
+        const profile::Registry reference = per_cell_matrix_metrics(cells);
+        EXPECT_EQ(folded.to_json(), reference.to_json()) << what;
+        EXPECT_EQ(folded.to_prometheus(), reference.to_prometheus()) << what;
+
+        core::FaultSweepReport slice = sweep;
+        slice.baseline_cells = cells_where(sweep.baseline_cells, verdict);
+        ASSERT_FALSE(slice.baseline_cells.empty()) << what;
+        const profile::Registry sweep_folded = core::fault_sweep_metrics(slice);
+        const profile::Registry sweep_reference = per_cell_fault_sweep_metrics(slice);
+        EXPECT_EQ(sweep_folded.to_json(), sweep_reference.to_json()) << what;
+        EXPECT_EQ(sweep_folded.to_prometheus(), sweep_reference.to_prometheus()) << what;
+    }
+
+    // A verdict series appears only when some cell reached that verdict.
+    const auto won = cells_where(all, true);
+    const auto lost = cells_where(all, false);
+    const std::string won_prom = core::matrix_metrics(won).to_prometheus();
+    const std::string lost_prom = core::matrix_metrics(lost).to_prometheus();
+    EXPECT_EQ(won_prom.find("attacks_blocked_total"), std::string::npos);
+    EXPECT_NE(won_prom.find("attacks_succeeded_total{harness=\"matrix\"} " +
+                            std::to_string(won.size()) + "\n"),
+              std::string::npos);
+    EXPECT_EQ(lost_prom.find("attacks_succeeded_total"), std::string::npos);
+    EXPECT_NE(lost_prom.find("attacks_blocked_total{harness=\"matrix\"} " +
+                             std::to_string(lost.size()) + "\n"),
+              std::string::npos);
+    // No cells, no series from the fold.
+    EXPECT_EQ(core::matrix_metrics({}).to_json(), per_cell_matrix_metrics({}).to_json());
+    EXPECT_EQ(core::matrix_metrics({}).to_json().find("victim_instructions_total"),
+              std::string::npos);
 }
 
 // --- coverage bitmaps --------------------------------------------------------

@@ -3,6 +3,7 @@
 // level, and kernel-privilege access.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -153,6 +154,106 @@ TEST(MemoryReservation, FirstTouchAndFirstWriteMoveTheGeneration) {
     EXPECT_EQ(m.raw_read8(0x10010), 0u);
     EXPECT_NE(m.generation_of(0x10000), written);
     EXPECT_NE(m.generation_of(0x10000), fresh);
+}
+
+TEST(MemoryReservation, ProtectAndUnmapSplitARange) {
+    Memory m;
+    m.map(0x10000, 3 * kPageSize, Perm::RW);
+    m.protect(0x10000, kPageSize, Perm::RX);
+    // protect of the middle page: both neighbours keep their own perms.
+    m.protect(0x11000, kPageSize, Perm::R);
+    EXPECT_EQ(m.perms_at(0x10000), Perm::RX);
+    EXPECT_EQ(m.perms_at(0x11fff), Perm::R);
+    EXPECT_EQ(m.perms_at(0x12000), Perm::RW);
+    EXPECT_EQ(m.mapped_pages(), (std::vector<std::uint32_t>{0x10000, 0x11000, 0x12000}));
+    // unmap of the middle page: both neighbours stay reserved.
+    m.unmap(0x11000, kPageSize);
+    EXPECT_TRUE(m.is_mapped(0x10fff));
+    EXPECT_FALSE(m.is_mapped(0x11000));
+    EXPECT_TRUE(m.is_mapped(0x12000));
+    EXPECT_EQ(m.perms_at(0x10000), Perm::RX);
+    EXPECT_EQ(m.perms_at(0x11000), Perm::None);
+    EXPECT_EQ(m.perms_at(0x12000), Perm::RW);
+    EXPECT_EQ(m.mapped_pages(), (std::vector<std::uint32_t>{0x10000, 0x12000}));
+    EXPECT_EQ(m.resident_pages(), 0u);
+    EXPECT_EQ(m.check(0x10000, 4, Perm::W, false), AccessFault::Permission);
+    EXPECT_EQ(m.check(0x12000, 4, Perm::W, false), AccessFault::None);
+    // A protect across the hole applies up to it, then fails.
+    EXPECT_THROW(m.protect(0x10000, 3 * kPageSize, Perm::R), swsec::Error);
+    EXPECT_EQ(m.perms_at(0x10000), Perm::R);
+    EXPECT_EQ(m.perms_at(0x12000), Perm::RW);
+}
+
+TEST(MemoryReservation, MapOverAResidentPageKeepsItsBytes) {
+    Memory m;
+    m.map(0x10000, 3 * kPageSize, Perm::RW);
+    m.raw_write8(0x11010, 0xab);
+    EXPECT_EQ(m.resident_pages(), 1u);
+    const std::uint64_t before = m.generation_of(0x11000);
+    m.map(0x10000, 3 * kPageSize, Perm::R);
+    EXPECT_EQ(m.raw_read8(0x11010), 0xab);
+    EXPECT_EQ(m.perms_at(0x11000), Perm::R);
+    EXPECT_EQ(m.page_view(0x11000).perms, Perm::R);
+    EXPECT_NE(m.generation_of(0x11000), before);
+    EXPECT_EQ(m.perms_at(0x10000), Perm::R);
+    EXPECT_EQ(m.perms_at(0x12000), Perm::R);
+    EXPECT_EQ(m.resident_pages(), 1u);
+    EXPECT_EQ(m.check(0x11010, 1, Perm::W, false), AccessFault::Permission);
+}
+
+TEST(MemoryReservation, MappedPagesStaySortedAndUnique) {
+    Memory m;
+    // Out of order, overlapping, with resident pages inside reservations.
+    m.map(0x30000, 2 * kPageSize, Perm::RW);
+    m.map(0x10000, 2 * kPageSize, Perm::RX);
+    m.raw_write8(0x31000, 1);
+    m.raw_write8(0x10000, 1);
+    m.map(0x11000, 3 * kPageSize, Perm::RW); // overlaps a resident-free page
+    m.map(0x30000, kPageSize, Perm::R);      // remaps a reserved page
+    m.map(0x20000, kPageSize, Perm::RW);
+    const std::vector<std::uint32_t> want = {0x10000, 0x11000, 0x12000, 0x13000,
+                                             0x20000, 0x30000, 0x31000};
+    EXPECT_EQ(m.mapped_pages(), want);
+    EXPECT_EQ(m.resident_pages(), 2u);
+    for (const std::uint32_t page : want) {
+        (void)m.generation_of(page); // materialise everything
+    }
+    EXPECT_EQ(m.resident_pages(), want.size());
+    EXPECT_EQ(m.mapped_pages(), want);
+    EXPECT_EQ(m.perms_at(0x10000), Perm::RX);
+    EXPECT_EQ(m.perms_at(0x11000), Perm::RW);
+    EXPECT_EQ(m.perms_at(0x30000), Perm::R);
+    EXPECT_EQ(m.perms_at(0x31000), Perm::RW);
+}
+
+TEST(MemoryReservation, HugeHeapRangeMaterialisesOnlyTouchedPages) {
+    // What sbrk(96 MiB) maps (os/kernel.cpp): one RW range of 24 576 pages
+    // next to text, data and stack.  Touching every 64th page must cost one
+    // page each, and the range must still list every page as mapped.
+    Memory m;
+    m.map(0x08048000, kPageSize, Perm::RX);
+    m.map(0x0804a000, kPageSize, Perm::RW);
+    m.map(0xbffc0000, 64 * kPageSize, Perm::RW);
+    constexpr std::uint32_t kHeap = 0x09000000;
+    constexpr std::uint32_t kBytes = 96u * 1024 * 1024;
+    constexpr std::uint32_t kPages = kBytes / kPageSize;
+    m.map(kHeap, kBytes, Perm::RW);
+    std::size_t touched = 0;
+    for (std::uint32_t page = 0; page < kPages; page += 64) {
+        m.write8(kHeap + page * kPageSize + 7, 0x5a);
+        ++touched;
+    }
+    EXPECT_EQ(m.resident_pages(), touched);
+    const auto pages = m.mapped_pages();
+    ASSERT_EQ(pages.size(), 2u + 64u + kPages);
+    EXPECT_TRUE(std::is_sorted(pages.begin(), pages.end()));
+    EXPECT_EQ(std::adjacent_find(pages.begin(), pages.end()), pages.end());
+    EXPECT_EQ(pages[2], kHeap);
+    EXPECT_EQ(pages[2 + kPages - 1], kHeap + kBytes - kPageSize);
+    EXPECT_EQ(m.read8(kHeap + 64 * kPageSize + 7), 0x5a);
+    EXPECT_EQ(m.read8(kHeap + 65 * kPageSize + 7), 0u);
+    EXPECT_EQ(m.perms_at(kHeap + kBytes - 1), Perm::RW);
+    EXPECT_FALSE(m.is_mapped(kHeap + kBytes));
 }
 
 // --- Machine semantics ---------------------------------------------------------
@@ -419,6 +520,42 @@ TEST(Machine, CoarseCfiChecksIndirectTargets) {
     r2.m.memory().raw_write8(0x1040, 0x00); // halt at the target
     r2.m.memory().protect(0x1000, 0x1000, Perm::RX);
     EXPECT_EQ(r2.run(e).trap.kind, TrapKind::Halted);
+
+    // The table takes any order and duplicates, and replaces the old set.
+    MachineOptions plain;
+    Machine t(plain);
+    t.set_cfi_targets({0x3000, 0x1040, 0x2000, 0x1040, 0x1000, 0x3000});
+    for (const std::uint32_t a : {0x1000u, 0x1040u, 0x2000u, 0x3000u}) {
+        EXPECT_TRUE(t.is_cfi_target(a)) << a;
+    }
+    for (const std::uint32_t a : {0x0u, 0x1004u, 0x1041u, 0x2fffu, 0x3001u}) {
+        EXPECT_FALSE(t.is_cfi_target(a)) << a;
+    }
+    t.add_cfi_target(0x1800); // after set: keeps the old entries
+    t.add_cfi_target(0x1800);
+    t.add_cfi_target(0x0800);
+    EXPECT_TRUE(t.is_cfi_target(0x1800));
+    EXPECT_TRUE(t.is_cfi_target(0x0800));
+    EXPECT_TRUE(t.is_cfi_target(0x2000));
+    t.set_cfi_targets({0x2000});
+    EXPECT_FALSE(t.is_cfi_target(0x1800));
+    EXPECT_TRUE(t.is_cfi_target(0x2000));
+
+    // Unsorted, duplicated input approves the call target ...
+    Runner r3(opts);
+    r3.m.set_cfi_targets({0x1040, 0x1000, 0x1040});
+    r3.m.memory().protect(0x1000, 0x1000, Perm::RW);
+    r3.m.memory().raw_write8(0x1040, 0x00);
+    r3.m.memory().protect(0x1000, 0x1000, Perm::RX);
+    EXPECT_EQ(r3.run(e).trap.kind, TrapKind::Halted);
+    // ... and a target added after the set is approved too.
+    Runner r4(opts);
+    r4.m.set_cfi_targets({0x1000, 0x1000});
+    r4.m.add_cfi_target(0x1040);
+    r4.m.memory().protect(0x1000, 0x1000, Perm::RW);
+    r4.m.memory().raw_write8(0x1040, 0x00);
+    r4.m.memory().protect(0x1000, 0x1000, Perm::RX);
+    EXPECT_EQ(r4.run(e).trap.kind, TrapKind::Halted);
 }
 
 TEST(Machine, OutOfGas) {
