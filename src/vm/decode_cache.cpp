@@ -158,7 +158,7 @@ FastHandler single_handler(Op op) noexcept {
 
 } // namespace
 
-// Bound on each thread's free list of page entries (~132 KiB each): an idle
+// Bound on each thread's free list of page entries (~116 KiB each): an idle
 // thread keeps at most ~2 MiB.  The list only ever holds entries that were
 // live at once, so it never raises a thread's peak memory.
 constexpr std::size_t kEntryPoolCap = 16;
@@ -193,7 +193,7 @@ void DecodeCache::reset(PageEntry& e) noexcept {
         // Unbuilt: fused entries die with their bytes.  Reset only the slots
         // actually built — a page whose own stores keep bumping its
         // generation (stack shellcode) invalidates per store, and a full
-        // 80 KiB sweep each time would dominate the run.
+        // 64 KiB sweep each time would dominate the run.
         for (const std::uint16_t off : e.fast_built) {
             (*e.fast)[off] = FastOp{};
         }
@@ -312,7 +312,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
     }
     const isa::Insn& i1 = *head;
     fo.h = single_handler(i1.op);
-    fo.nsteps = 1;
     fo.a = static_cast<std::uint8_t>(i1.r1);
     fo.b = static_cast<std::uint8_t>(i1.r2);
     fo.imm = i1.imm;
@@ -322,10 +321,10 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
         fo.imm2 = static_cast<std::int32_t>(fo.next + static_cast<std::uint32_t>(i1.imm));
     }
 
-    // Superinstruction fusion: peek at the following instruction(s).  All
+    // Superinstruction fusion: peek at the following instruction.  Both
     // components must sit in the fast-decodable region of the *same* page;
-    // each fused entry lives in the head's slot only, so a branch into a
-    // component's own offset still dispatches that component individually.
+    // each fused entry lives in the head's slot only, so a branch into the
+    // second component's own offset still dispatches it individually.
     const auto decode_at = [&](std::uint32_t o) -> std::optional<isa::Insn> {
         if (o > kFastLimit) {
             return std::nullopt;
@@ -344,7 +343,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
             const std::uint32_t jnext = ref.base + off2 + d2->length;
             fo.imm2 = static_cast<std::int32_t>(jnext + static_cast<std::uint32_t>(d2->imm));
             fo.next = jnext;
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -352,23 +350,7 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
     case Op::Push: {
         const std::uint32_t off2 = off + i1.length;
         const auto d2 = decode_at(off2);
-        if (d2 && d2->op == Op::Push) {
-            const std::uint32_t off3 = off2 + d2->length;
-            const auto d3 = decode_at(off3);
-            if (d3 && d3->op == Op::Call) {
-                fo.h = FastHandler::FusedPushPushCall;
-                fo.b = static_cast<std::uint8_t>(d2->r1);
-                // Component offsets (≤ kFastLimit, so 16 bits each) packed
-                // into imm: the engine needs them for trap provenance and
-                // for resuming after a mid-fusion page-generation bump.
-                fo.imm = static_cast<std::int32_t>(off2 | (off3 << 16));
-                const std::uint32_t cnext = ref.base + off3 + d3->length;
-                fo.imm2 = static_cast<std::int32_t>(cnext + static_cast<std::uint32_t>(d3->imm));
-                fo.next = cnext; // the call's return address
-                fo.nsteps = 3;
-                ++fused_built_;
-            }
-        } else if (d2 && d2->op == Op::Call) {
+        if (d2 && d2->op == Op::Call) {
             // Single-argument call: push r; call rel (the dominant call
             // shape in compiled code — one stack argument).
             fo.h = FastHandler::FusedPushCall;
@@ -376,7 +358,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
             const std::uint32_t cnext = ref.base + off2 + d2->length;
             fo.imm2 = static_cast<std::int32_t>(cnext + static_cast<std::uint32_t>(d2->imm));
             fo.next = cnext; // the call's return address
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -384,21 +365,12 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
     case Op::Load: {
         const std::uint32_t off2 = off + i1.length;
         const auto d2 = decode_at(off2);
-        if (d2 && (d2->op == Op::Add || d2->op == Op::AddI)) {
-            fo.h = (d2->op == Op::Add) ? FastHandler::FusedLoadAdd : FastHandler::FusedLoadAddI;
-            fo.c = static_cast<std::uint8_t>(d2->r1);
-            fo.d = static_cast<std::uint8_t>(d2->r2);
-            fo.imm2 = d2->imm;
-            fo.next = ref.base + off2 + d2->length;
-            fo.nsteps = 2;
-            ++fused_built_;
-        } else if (d2 && d2->op == Op::Push) {
+        if (d2 && d2->op == Op::Push) {
             // Load rd, [rb+d]; push rs — argument materialisation.
             fo.h = FastHandler::FusedLoadPush;
             fo.c = static_cast<std::uint8_t>(d2->r1);
             fo.imm2 = static_cast<std::int32_t>(ref.base + off2); // push's ip
             fo.next = ref.base + off2 + d2->length;
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -413,7 +385,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
             fo.c = static_cast<std::uint8_t>(d2->r1);
             fo.imm2 = static_cast<std::int32_t>(ref.base + off2); // pop's ip
             fo.next = ref.base + off2 + d2->length;
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -425,7 +396,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
         if (d2 && d2->op == Op::Ret) {
             fo.h = FastHandler::FusedLeaveRet;
             fo.imm = static_cast<std::int32_t>(off2); // the ret's offset
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -433,12 +403,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept
     default:
         break;
     }
-}
-
-void DecodeCache::clear() noexcept {
-    pages_.clear();
-    mru_index_ = 0xffffffff;
-    mru_ = nullptr;
 }
 
 } // namespace swsec::vm

@@ -24,7 +24,7 @@
 // *tier-2* representation per page (DESIGN.md §13): `FastOp` structs with
 // register operands resolved to raw indices, immediates widened, the next
 // IP pre-added, and hot instruction pairs fused into superinstructions
-// (cmp+jcc, push/push/call, load+arith).  The fast engine
+// (cmp+jcc, push+call, leave+ret, ...).  The fast engine
 // (vm/engine_fast.cpp) dispatches straight off this array with computed
 // goto; the same generation key guards both representations, so a fused
 // entry can never outlive a byte of the code it was fused from.
@@ -43,9 +43,9 @@ namespace swsec::vm {
 
 class FastEngine;
 
-// The tier-2 handler vocabulary.  The X-macro keeps the enum, the computed
-// goto label table and the switch fallback in engine_fast.cpp in the same
-// order by construction — a new handler added here fails to compile until
+// The tier-2 handler vocabulary.  The X-macro keeps the enum and the
+// computed-goto label table in engine_fast.cpp in the same order by
+// construction — a new handler added here fails to compile until
 // the engine implements it.  `Unbuilt` must stay first (zero-initialised
 // FastOp slots mean "not yet built at this generation") and `Slow` second
 // (anything tier 2 must hand to the fully instrumented step()).
@@ -99,10 +99,7 @@ class FastEngine;
     X(Sys)                                                                                         \
     X(FusedCmpJcc)                                                                                 \
     X(FusedCmpIJcc)                                                                                \
-    X(FusedPushPushCall)                                                                           \
     X(FusedPushCall)                                                                               \
-    X(FusedLoadAdd)                                                                                \
-    X(FusedLoadAddI)                                                                               \
     X(FusedLoadPush)                                                                               \
     X(FusedMovIPop)                                                                                \
     X(FusedLeaveRet)
@@ -118,22 +115,20 @@ enum class FastHandler : std::uint8_t {
 enum class FastCond : std::uint8_t { Z, Nz, L, Ge, G, Le, B, Ae };
 
 /// One tier-2 dispatch unit: either a single pre-decoded instruction or a
-/// fused superinstruction.  Operand registers are raw indices (no enum
-/// casts on the hot path), `next` is the absolute IP after the *whole*
-/// sequence, and `nsteps` is how many architectural instructions the entry
-/// retires — the watchdog accounting and the engine-A/engine-B step-count
-/// oracle both depend on it.
+/// fused superinstruction of two.  Operand registers are raw indices (no
+/// enum casts on the hot path) and `next` is the absolute IP after the
+/// *whole* sequence.
 struct FastOp {
     FastHandler h = FastHandler::Unbuilt;
-    std::uint8_t nsteps = 1;
     std::uint8_t a = 0; // first register operand
     std::uint8_t b = 0; // second register operand
     std::uint8_t c = 0; // third register / FastCond
-    std::uint8_t d = 0; // fourth register (fused load+alu source)
     std::int32_t imm = 0;
-    std::int32_t imm2 = 0;  // second immediate / absolute taken-branch target
+    std::int32_t imm2 = 0;  // second component's address / absolute taken-branch target
     std::uint32_t next = 0; // absolute IP after the sequence
 };
+// A page's stream is kPageSize of these, zeroed on first tier-2 touch.
+static_assert(sizeof(FastOp) == 16);
 
 class DecodeCache {
 public:
@@ -142,11 +137,6 @@ public:
     /// `need` is the permission set fetching requires (R, or R|X under DEP).
     [[nodiscard]] const isa::Insn* lookup(const Memory& mem, std::uint32_t addr,
                                           Perm need) noexcept;
-
-    /// Drop every cached page (the generation check makes this unnecessary
-    /// for correctness; exposed for tests and memory pressure).  The page
-    /// entries go back to this thread's free list.
-    void clear() noexcept;
 
     // --- tier-2 fast stream (vm/engine_fast.cpp) ---------------------------
     /// Handle to one page's fast-op array, generation-synced at creation.
@@ -211,7 +201,7 @@ private:
         std::vector<std::uint16_t> fast_built; // slots to reset on invalidation
     };
 
-    // Entries are recycled, not freed: a fresh one costs ~132 KiB of
+    // Entries are recycled, not freed: a fresh one costs ~116 KiB of
     // zeroing, and a short-lived process touches only a few code pages.
     // The deleter resets the entry (cost proportional to what it built)
     // and parks it on a small per-thread free list that entry_for draws

@@ -12,25 +12,17 @@
 //   3. the ip points into the fast-decodable region of the current page
 //      (page switches re-resolve; page tails defer to the slow fetch).
 //
-// Fused superinstructions retire `nsteps` architectural instructions in one
+// Fused superinstructions retire two architectural instructions in one
 // dispatch.  A fused op is only entered when the remaining budget covers
-// all of it (otherwise tier 1 retires the head instruction alone), and
-// push/push/call re-checks the code page generation after every component
-// store so a push that overwrites its own call deoptimizes with the ip at
-// the next unexecuted component — exactly where tier 1 would be.
+// both (otherwise tier 1 retires the head instruction alone), and push+call
+// re-checks the code page generation after its push so a push that
+// overwrites its own call deoptimizes with the ip at the call — exactly
+// where tier 1 would be.
 #include "vm/engine_fast.hpp"
 
 #include "vm/machine.hpp"
 
 #include <limits>
-
-// Computed-goto threaded dispatch is a GNU extension; elsewhere fall back
-// to a dense switch over the same handler bodies.
-#if defined(__GNUC__) || defined(__clang__)
-#define SWSEC_THREADED_DISPATCH 1
-#else
-#define SWSEC_THREADED_DISPATCH 0
-#endif
 
 namespace swsec::vm {
 
@@ -313,13 +305,13 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         goto store_check;                                                                          \
     } while (0)
 
-// A fused op only dispatches when the whole sequence fits the remaining
+// A fused op only dispatches when both its instructions fit the remaining
 // budget; otherwise tier 1 retires the head instruction alone, so the
 // watchdog fires at exactly the same architectural instruction as under
 // tier 1.  (loop_head guarantees steps < end, so `end - steps` is ≥ 1.)
-#define SWSEC_FUSED_BUDGET(n)                                                                      \
+#define SWSEC_FUSED_BUDGET()                                                                       \
     do {                                                                                           \
-        if (end - steps < (n)) [[unlikely]] {                                                      \
+        if (end - steps < 2) [[unlikely]] {                                                        \
             SWSEC_FLUSH();                                                                         \
             ++stats.deopt_budget;                                                                  \
             return FastExit::NeedSlowStep;                                                         \
@@ -330,16 +322,12 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     const FastOp* op;
     std::uint32_t off;
 
-#if SWSEC_THREADED_DISPATCH
     static const void* const kLabels[] = {
 #define SWSEC_FAST_LABEL(name) &&H_##name,
         SWSEC_FAST_HANDLERS(SWSEC_FAST_LABEL)
 #undef SWSEC_FAST_LABEL
     };
 #define SWSEC_CASE(name) H_##name:
-#else
-#define SWSEC_CASE(name) case FastHandler::name:
-#endif
 
     // Invariant 1: the fast stream is only valid at its build generation.
     // Only stores can mutate memory while the engine runs (syscalls, hosts
@@ -380,11 +368,7 @@ loop_head:
     }
     op = &(*ref.ops)[off];
 dispatch_op:
-#if SWSEC_THREADED_DISPATCH
     goto* kLabels[static_cast<std::size_t>(op->h)];
-#else
-    switch (op->h)
-#endif
     {
         SWSEC_CASE(Unbuilt) {
             dc.build_fast(ref, off); // never leaves Unbuilt (worst case Slow)
@@ -638,7 +622,7 @@ dispatch_op:
             SWSEC_NEXT();
         }
         SWSEC_CASE(FusedCmpJcc) {
-            SWSEC_FUSED_BUDGET(2);
+            SWSEC_FUSED_BUDGET();
             const std::uint32_t x = regs[op->a];
             const std::uint32_t y = regs[op->b];
             fz = (x == y);
@@ -650,7 +634,7 @@ dispatch_op:
             goto loop_head;
         }
         SWSEC_CASE(FusedCmpIJcc) {
-            SWSEC_FUSED_BUDGET(2);
+            SWSEC_FUSED_BUDGET();
             const std::uint32_t x = regs[op->a];
             fz = (x == SWSEC_IMM_U);
             flt = (static_cast<std::int32_t>(x) < op->imm);
@@ -660,47 +644,9 @@ dispatch_op:
             ++stats.superinsns_retired;
             goto loop_head;
         }
-        SWSEC_CASE(FusedPushPushCall) {
-            SWSEC_FUSED_BUDGET(3);
-            // Three architectural instructions; each store may fault (trap
-            // ip = that component) or overwrite the code page (deopt with
-            // ip = the next unexecuted component — tier 1 resumes there).
-            const std::uint32_t push2_ip = ref.base + (static_cast<std::uint32_t>(op->imm) & 0xffffu);
-            const std::uint32_t call_ip = ref.base + (static_cast<std::uint32_t>(op->imm) >> 16);
-            std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, regs[op->a], 1, ip);
-            regs[8] = nsp;
-            if (code_page->generation != ref.generation) [[unlikely]] {
-                ip = push2_ip;
-                ++steps;
-                SWSEC_FLUSH();
-                ++stats.deopt_page_gen;
-                return FastExit::PageChange;
-            }
-            nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, regs[op->b], 2, push2_ip);
-            regs[8] = nsp;
-            if (code_page->generation != ref.generation) [[unlikely]] {
-                ip = call_ip;
-                steps += 2;
-                SWSEC_FLUSH();
-                ++stats.deopt_page_gen;
-                return FastExit::PageChange;
-            }
-            nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, op->next, 3, call_ip);
-            regs[8] = nsp;
-            if (sstack) {
-                m.shadow_stack_.push_back(op->next);
-            }
-            ip = static_cast<std::uint32_t>(op->imm2);
-            steps += 3;
-            ++stats.superinsns_retired;
-            goto store_check; // the return-address push re-validates too
-        }
         SWSEC_CASE(FusedPushCall) {
-            SWSEC_FUSED_BUDGET(2);
-            const std::uint32_t call_ip = ref.base + (SWSEC_IMM_U & 0xffffu);
+            SWSEC_FUSED_BUDGET();
+            const std::uint32_t call_ip = ref.base + SWSEC_IMM_U;
             std::uint32_t nsp = regs[8] - 4;
             SWSEC_STORE32(nsp, regs[op->a], 1, ip);
             regs[8] = nsp;
@@ -724,30 +670,8 @@ dispatch_op:
             ++stats.superinsns_retired;
             goto store_check;
         }
-        SWSEC_CASE(FusedLoadAdd) {
-            SWSEC_FUSED_BUDGET(2);
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
-            regs[op->a] = v;
-            regs[op->c] += regs[op->d]; // reads regs *after* the load wrote a
-            ip = op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
-        }
-        SWSEC_CASE(FusedLoadAddI) {
-            SWSEC_FUSED_BUDGET(2);
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
-            regs[op->a] = v;
-            regs[op->c] += static_cast<std::uint32_t>(op->imm2);
-            ip = op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
-        }
         SWSEC_CASE(FusedLoadPush) {
-            SWSEC_FUSED_BUDGET(2);
+            SWSEC_FUSED_BUDGET();
             std::uint32_t v = 0;
             SWSEC_LOAD32(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
             regs[op->a] = v;
@@ -763,7 +687,7 @@ dispatch_op:
             goto store_check;
         }
         SWSEC_CASE(FusedMovIPop) {
-            SWSEC_FUSED_BUDGET(2);
+            SWSEC_FUSED_BUDGET();
             regs[op->a] = SWSEC_IMM_U; // before the pop: MovI sp, i; pop r
             std::uint32_t v = 0;
             SWSEC_LOAD32(regs[8], v, 2, static_cast<std::uint32_t>(op->imm2));
@@ -775,13 +699,13 @@ dispatch_op:
             goto loop_head;
         }
         SWSEC_CASE(FusedLeaveRet) {
-            SWSEC_FUSED_BUDGET(2);
+            SWSEC_FUSED_BUDGET();
             regs[8] = regs[9]; // sp = bp happens even if the pop then faults
             std::uint32_t old_bp = 0;
             SWSEC_LOAD32(regs[8], old_bp, 1, ip);
             regs[8] += 4;
             regs[9] = old_bp;
-            const std::uint32_t ret_ip = ref.base + (SWSEC_IMM_U & 0xffffu);
+            const std::uint32_t ret_ip = ref.base + SWSEC_IMM_U;
             std::uint32_t target = 0;
             SWSEC_LOAD32(regs[8], target, 2, ret_ip);
             regs[8] += 4; // pop completes before the shadow-stack verdict
@@ -797,18 +721,7 @@ dispatch_op:
             ++stats.superinsns_retired;
             goto loop_head;
         }
-#if !SWSEC_THREADED_DISPATCH
-    default: // FastHandler::Count is never stored
-        SWSEC_FLUSH();
-        ++stats.deopt_slow_fetch;
-        return FastExit::NeedSlowStep;
-#endif
     }
-#if !SWSEC_THREADED_DISPATCH
-    // Unreachable: every case exits via goto or return.
-    SWSEC_FLUSH();
-    return FastExit::NeedSlowStep;
-#endif
 
 #undef SWSEC_FLUSH
 #undef SWSEC_TRAP_EXIT

@@ -5,8 +5,8 @@
 // or fault plan attached, no protected modules installed, decode cache on,
 // not pure-capability.  The engine executes straight from the decode
 // cache's pre-decoded FastOp stream with computed-goto threaded dispatch
-// (dense-switch fallback on non-GNU compilers) and retires fused
-// superinstructions (cmp+jcc, push/push/call, load+arith) built by
+// and retires the two-instruction superinstructions (cmp+jcc, cmpi+jcc,
+// push+call, load+push, movi+pop, leave+ret) built by
 // DecodeCache::build_fast.
 //
 // Contract: byte-identical architectural effects to running the same

@@ -9,6 +9,8 @@
 // covers the same contract over generated programs.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "fault/fault.hpp"
 #include "isa/encoder.hpp"
 #include "profile/profiler.hpp"
@@ -42,22 +44,27 @@ struct Runner {
     }
 };
 
-/// Mixed straight-line + branch + call/ret workload exercising the fused
-/// patterns (cmp+jcc, push+call, leave+ret, movi+pop, load+push): a loop
-/// summing values through a one-argument function call.
+/// Mixed straight-line + branch + call/ret workload exercising every fused
+/// pattern once per iteration (cmp+jcc, cmpi+jcc, push+call, load+push,
+/// movi+pop, leave+ret): a loop summing values through a one-argument
+/// function call.
 Encoder mixed_program() {
     Encoder e;
-    // main: r2 = counter, r3 = accumulator
+    // main: r2 = counter, r3 = accumulator, r4 = 0
     e.reg_imm32(Op::MovI, Reg::R2, 5);
     e.reg_imm32(Op::MovI, Reg::R3, 0);
+    e.reg_imm32(Op::MovI, Reg::R4, 0);
     const auto loop = e.size();
     e.reg(Op::Push, Reg::R2); // push r2; call double_it  -> FusedPushCall
     const auto call = e.rel32(Op::Call, 0);
     e.reg_imm32(Op::AddI, Reg::Sp, 4);
     e.reg_reg(Op::Add, Reg::R3, Reg::R0);
     e.reg_imm32(Op::SubI, Reg::R2, 1);
-    e.reg_imm32(Op::CmpI, Reg::R2, 0); // cmp+jnz            -> FusedCmpIJcc
+    e.reg_reg(Op::Cmp, Reg::R2, Reg::R4); // cmp+jl (never taken) -> FusedCmpJcc
+    const auto jl = e.rel32(Op::Jl, 0);
+    e.reg_imm32(Op::CmpI, Reg::R2, 0); // cmpi+jnz           -> FusedCmpIJcc
     const auto jnz = e.rel32(Op::Jnz, 0);
+    const auto done = e.size();
     e.none(Op::Halt);
     // double_it(n): returns n * 2, classic frame
     const auto fn = e.size();
@@ -71,6 +78,7 @@ Encoder mixed_program() {
     e.none(Op::Leave); // leave; ret                         -> FusedLeaveRet
     e.none(Op::Ret);
     e.patch_rel32(call, fn);
+    e.patch_rel32(jl, done);
     e.patch_rel32(jnz, loop);
     return e;
 }
@@ -107,7 +115,7 @@ TEST(TierSelection, DefaultMachineRunsTier2) {
     const DispatchStats& d = r.m.dispatch_stats();
     EXPECT_GT(d.tier2_entries, 0u);
     EXPECT_GT(d.fast_steps, 0u);
-    EXPECT_GT(d.superinsns_retired, 0u) << "the workload contains every fused pattern";
+    EXPECT_EQ(d.superinsns_retired, 6u * 5) << "six fused patterns, five iterations";
     EXPECT_GT(r.m.decode_cache().fused_built(), 0u);
 }
 
@@ -267,10 +275,62 @@ TEST(EngineAB, ShadowStackAndCfiReplicatedInTier2) {
     }
 }
 
+TEST(EngineAB, AdjacentPushPushCallAndLoadAddIdentical) {
+    // push; push; call dispatches as a push and a fused push+call.  With the
+    // stack inside the code page, the first push overwrites the call's last
+    // byte and the second push the rest of it: the engine must deoptimize
+    // after each store and execute the bytes they wrote (four nops, then
+    // the halt written by the first push), exactly like tier 1.
+    const auto push_push_call = [](std::uint32_t sp) {
+        Encoder e;
+        e.reg_imm32(Op::MovI, Reg::R0, 0); // four halt bytes
+        e.reg_imm32(Op::MovI, Reg::R1, static_cast<std::int32_t>(0x90909090)); // four nops
+        e.reg_imm32(Op::MovI, Reg::Sp, static_cast<std::int32_t>(sp));
+        e.reg(Op::Push, Reg::R0);
+        e.reg(Op::Push, Reg::R1);
+        const auto call = e.rel32(Op::Call, 0);
+        e.none(Op::Halt);
+        const auto fn = e.size();
+        e.none(Op::Ret);
+        e.patch_rel32(call, fn);
+        return std::make_pair(e, call);
+    };
+    const std::uint32_t call = push_push_call(0).second;
+    const Encoder e = push_push_call(kCode + call + 8).first;
+    Runner r;
+    const auto res = r.run(e);
+    EXPECT_EQ(res.trap.kind, TrapKind::Halted);
+    EXPECT_EQ(res.trap.ip, kCode + call + 4) << "the bytes the pushes wrote must execute";
+    EXPECT_GT(r.m.dispatch_stats().deopt_page_gen, 0u);
+    expect_ab_identical(e);
+
+    // load; add and load; addi, with the load reading the code page and
+    // faulting on an unmapped address: the trap names the load, and the
+    // add never retires.
+    for (const std::uint32_t addr : {kCode, 0x5000u}) {
+        for (const bool imm : {false, true}) {
+            Encoder l;
+            l.reg_imm32(Op::MovI, Reg::R1, static_cast<std::int32_t>(addr));
+            l.reg_imm32(Op::MovI, Reg::R2, 7);
+            l.reg_mem(Op::Load, Reg::R0, Reg::R1, 4);
+            if (imm) {
+                l.reg_imm32(Op::AddI, Reg::R2, 9);
+            } else {
+                l.reg_reg(Op::Add, Reg::R2, Reg::R0);
+            }
+            l.none(Op::Halt);
+            Runner lr;
+            EXPECT_EQ(lr.run(l).trap.kind, addr == kCode ? TrapKind::Halted : TrapKind::SegvRead)
+                << addr;
+            expect_ab_identical(l);
+        }
+    }
+}
+
 // --- deopt: budget boundaries ------------------------------------------------
 
 TEST(Deopt, WatchdogExpiryInsideFusedSuperinstruction) {
-    // cmp+jcc fuses to one nsteps=2 dispatch.  With a budget that dies
+    // cmp+jcc fuses to one two-step dispatch.  With a budget that dies
     // between the cmp and the jcc, tier 2 must hand the head instruction to
     // tier 1 alone so the watchdog fires at exactly the same instruction —
     // and report the jcc's address as where the budget died.
