@@ -17,7 +17,6 @@ void add_run_tallies(profile::Registry& reg, const profile::Labels& labels,
     reg.counter_add("vm_dispatch_tier2_entries_total", labels, t.tier2_entries);
     reg.counter_add("vm_dispatch_fast_steps_total", labels, t.fast_steps);
     reg.counter_add("vm_dispatch_superinsns_retired_total", labels, t.superinsns_retired);
-    reg.counter_add("vm_dispatch_deopts_total", labels, t.deopts);
     // asan.*: shadow-memory sanitizer activity (DESIGN.md §15).  All zero
     // for runs without sanitize_address, so the totals isolate its work.
     reg.counter_add("asan_shadow_poisons_total", labels, t.asan_shadow_poisons);

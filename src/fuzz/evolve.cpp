@@ -350,4 +350,17 @@ std::string EvolveReport::to_json() const {
     return s;
 }
 
+profile::Registry evolve_metrics(const EvolveReport& report) {
+    profile::Registry reg;
+    const profile::Labels base = {{"harness", "evolve"}};
+    reg.counter_add("evolve_execs_total", base, static_cast<std::uint64_t>(report.execs));
+    reg.counter_add("evolve_rounds_total", base, static_cast<std::uint64_t>(report.rounds));
+    reg.counter_add("evolve_runs_total", base, report.runs);
+    reg.counter_add("evolve_divergences_total", base, report.divergences_total);
+    reg.counter_add("evolve_unique_crashes_total", base, report.crashes.size());
+    reg.gauge_set("evolve_corpus_size", base, static_cast<double>(report.corpus_size));
+    reg.gauge_set("coverage_edges", base, static_cast<double>(report.total_buckets));
+    return reg;
+}
+
 } // namespace swsec::fuzz

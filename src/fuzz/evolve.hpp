@@ -85,4 +85,9 @@ struct EvolveReport {
 /// only changes wall-clock time.
 [[nodiscard]] EvolveReport run_evolve(const EvolveOptions& opts);
 
+/// The evolve registry (`swsec evolve --metrics-out`): the report's totals
+/// as counters, corpus size and covered buckets as gauges, all labelled
+/// harness="evolve".  The evolutionary counterpart of fuzz_metrics.
+[[nodiscard]] profile::Registry evolve_metrics(const EvolveReport& report);
+
 } // namespace swsec::fuzz

@@ -161,19 +161,13 @@ Observed run_once(const std::shared_ptr<const objfmt::Image>& image,
 /// the string building).  On mismatch returns the first differing index,
 /// else -1.
 std::ptrdiff_t first_trace_mismatch(const trace::Tracer& x, const trace::Tracer& y) {
-    const auto xe = x.events();
-    const auto ye = y.events();
-    const std::size_t n = xe.size() < ye.size() ? xe.size() : ye.size();
+    const std::size_t n = x.size() < y.size() ? x.size() : y.size();
     for (std::size_t i = 0; i < n; ++i) {
-        const trace::TraceEvent& a = xe[i];
-        const trace::TraceEvent& b = ye[i];
-        if (a.kind != b.kind || a.step != b.step || a.pc != b.pc || a.module != b.module ||
-            a.kernel != b.kernel || a.origin != b.origin || a.code != b.code || a.a != b.a ||
-            a.b != b.b || a.detail != b.detail) {
+        if (x.event(i) != y.event(i)) {
             return static_cast<std::ptrdiff_t>(i);
         }
     }
-    if (xe.size() != ye.size() || x.total_recorded() != y.total_recorded()) {
+    if (x.size() != y.size() || x.total_recorded() != y.total_recorded()) {
         return static_cast<std::ptrdiff_t>(n);
     }
     return -1;
@@ -328,12 +322,12 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
             std::string out_b = off.describe();
             if (mismatch >= 0) {
                 const auto idx = static_cast<std::size_t>(mismatch);
-                const auto on_events = on_trace.events();
-                const auto off_events = off_trace.events();
                 out_a += "[trace #" + std::to_string(idx) + "] " +
-                         (idx < on_events.size() ? on_events[idx].to_json() : "<missing>") + "\n";
+                         (idx < on_trace.size() ? on_trace.event(idx).to_json() : "<missing>") +
+                         "\n";
                 out_b += "[trace #" + std::to_string(idx) + "] " +
-                         (idx < off_events.size() ? off_events[idx].to_json() : "<missing>") + "\n";
+                         (idx < off_trace.size() ? off_trace.event(idx).to_json() : "<missing>") +
+                         "\n";
             }
             report(Oracle::Engine, d.name + "+dcache", d.name + "-dcache", std::move(out_a),
                    std::move(out_b));

@@ -6,6 +6,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/hexdump.hpp"
 #include "isa/disasm.hpp"
 #include "trace/trace.hpp"
 

@@ -1,15 +1,10 @@
 #include "profile/symbolize.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "common/hexdump.hpp"
 
 namespace swsec::profile {
-
-std::string hex32(std::uint32_t v) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "0x%08x", v);
-    return buf;
-}
 
 Symbolizer::Symbolizer(const objfmt::Image& image, std::uint32_t text_base)
     : image_(&image), text_base_(text_base),

@@ -48,7 +48,4 @@ private:
     std::uint32_t text_size_;
 };
 
-/// Render "0x%08x".
-[[nodiscard]] std::string hex32(std::uint32_t v);
-
 } // namespace swsec::profile

@@ -131,21 +131,10 @@ void Tracer::record(TraceEvent e) {
     ++total_;
 }
 
-std::vector<TraceEvent> Tracer::events() const {
-    std::vector<TraceEvent> out;
-    out.reserve(size_);
-    const std::size_t start = (head_ + capacity_ - size_) % capacity_;
-    for (std::size_t i = 0; i < size_; ++i) {
-        out.push_back(ring_[(start + i) % capacity_]);
-    }
-    return out;
-}
-
 std::string Tracer::to_jsonl() const {
     std::string out;
-    const std::size_t start = (head_ + capacity_ - size_) % capacity_;
     for (std::size_t i = 0; i < size_; ++i) {
-        out += ring_[(start + i) % capacity_].to_json();
+        out += event(i).to_json();
         out += '\n';
     }
     return out;

@@ -89,6 +89,8 @@ struct TraceEvent {
 
     /// One JSON object, fixed key order, no trailing newline.
     [[nodiscard]] std::string to_json() const;
+
+    bool operator==(const TraceEvent&) const = default;
 };
 
 /// Aggregate per-run tallies.  Counters may legitimately differ between
@@ -130,8 +132,11 @@ public:
     }
 
     [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-    /// Events in emission order (oldest first).
-    [[nodiscard]] std::vector<TraceEvent> events() const;
+    /// Buffered events, and the i-th of them in emission order (oldest first).
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] const TraceEvent& event(std::size_t i) const noexcept {
+        return ring_[(head_ + capacity_ - size_ + i) % capacity_];
+    }
     [[nodiscard]] std::uint64_t total_recorded() const noexcept { return total_; }
     [[nodiscard]] std::uint64_t dropped() const noexcept {
         return total_ - static_cast<std::uint64_t>(size_);

@@ -71,9 +71,11 @@ struct MachineOptions {
                                       // while any observer is attached)
 };
 
-/// Tier-2 dispatch statistics (exported as vm.dispatch.* metrics).  The
-/// deopt_* counters name why the fast engine handed control back to the
-/// instrumented loop; their sum over a run explains every tier transition.
+/// Tier-2 dispatch statistics.  The first three are exported as the
+/// vm_dispatch_*_total metric families.  The deopt_* counters name why the
+/// fast engine handed control back to the instrumented loop; every exit is
+/// one deopt, so their sum equals tier2_entries.  They are read in process
+/// (cellbench's vm.deopts) and not exported.
 struct DispatchStats {
     std::uint64_t tier2_entries = 0;      // times run() entered the fast engine
     std::uint64_t fast_steps = 0;         // instructions retired by tier 2

@@ -268,7 +268,8 @@ TEST(KernelFaults, BudgetExhaustionEmitsTraceEvent) {
     const auto r = p.run();
     EXPECT_TRUE(r.exited(-1)) << r.trap.to_string();
     bool saw_exhaustion = false;
-    for (const auto& e : tracer.events()) {
+    for (std::size_t i = 0; i < tracer.size(); ++i) {
+        const trace::TraceEvent& e = tracer.event(i);
         if (e.kind == trace::EventKind::FaultInjected &&
             e.detail == "syscall retry budget exhausted") {
             saw_exhaustion = true;

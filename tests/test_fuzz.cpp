@@ -416,6 +416,25 @@ TEST(Evolve, CoverageCurveIsMonotoneAndConsistent) {
     EXPECT_GT(r.runs, static_cast<std::uint64_t>(r.execs)); // oracles multiply runs
 }
 
+TEST(Evolve, MetricsMatchTheReferenceRegistry) {
+    // Reference: the evolve export built series by series, byte-for-byte
+    // what `swsec evolve --metrics-out` has always written.
+    const fuzz::EvolveReport r = fuzz::run_evolve(small_evolve(1));
+    profile::Registry ref;
+    const profile::Labels base = {{"harness", "evolve"}};
+    ref.counter_add("evolve_execs_total", base, static_cast<std::uint64_t>(r.execs));
+    ref.counter_add("evolve_rounds_total", base, static_cast<std::uint64_t>(r.rounds));
+    ref.counter_add("evolve_runs_total", base, r.runs);
+    ref.counter_add("evolve_divergences_total", base, r.divergences_total);
+    ref.counter_add("evolve_unique_crashes_total", base, r.crashes.size());
+    ref.gauge_set("evolve_corpus_size", base, static_cast<double>(r.corpus_size));
+    ref.gauge_set("coverage_edges", base, static_cast<double>(r.total_buckets));
+    const profile::Registry got = fuzz::evolve_metrics(r);
+    EXPECT_EQ(got.to_json(), ref.to_json());
+    EXPECT_EQ(got.to_prometheus(), ref.to_prometheus());
+    EXPECT_EQ(got.counter("evolve_execs_total", base), 40u);
+}
+
 TEST(Mutate, HavocAndSpliceStayValidByConstruction) {
     // Model-level mutation cannot express an invalid program: every havoc
     // child and every spliced child must compile and run clean under all

@@ -1,91 +1,58 @@
 // swsec — command-line driver for the toolchain and the experiment suite.
 //
-//   swsec run <file.mc> [options]      compile and run a MiniC program
-//   swsec asm <file.mc> [options]      show the generated assembly
-//   swsec disasm <file.mc> [options]   show the linked machine code
-//   swsec lint <file.mc>               static memory-safety analysis
-//   swsec gadgets <file.mc>            ROP-gadget census of the binary
-//   swsec fig1                         regenerate the paper's Fig. 1
-//   swsec matrix [--jobs N]            the attack/defense matrix
-//                                      (--trace-out FILE: per-cell trap
-//                                       provenance as JSONL)
-//   swsec fault-sweep [options]        fail-closed fault-injection sweep
-//                                      (--fault-seed N, --windows N, --jobs N,
-//                                       --trace-out FILE for the baseline
-//                                       cells' provenance;
-//                                       exit 0 iff the invariant holds)
-//   swsec trace <scenario>             run one observability scenario and
-//                                      emit its event trace as JSONL on
-//                                      stdout (counters go to stderr);
-//                                      --trace-out FILE, --no-decode-cache
-//   swsec fuzz [options]               differential semantics-preservation
-//                                      fuzzing: seeded benign MiniC programs
-//                                      checked under every defense config,
-//                                      decode-cache on/off, and compile-vs-
-//                                      run constant folding (--seeds N,
-//                                      --seed-base B, --jobs N, --minimize,
-//                                      --replay FILE, --out FILE,
-//                                      --coverage [--coverage-out FILE];
-//                                      exit 0 iff zero divergences)
-//   swsec evolve [options]             coverage-guided evolutionary fuzzing:
-//                                      corpus seeds bred by model-level havoc
-//                                      and splice, scheduled by new-coverage
-//                                      yield, divergences auto-triaged and
-//                                      deduped by symbolized trap stack
-//                                      (--seed N, --execs N, --init N,
-//                                      --batch N, --jobs N, --out FILE,
-//                                      --json-out FILE, --curve-out FILE;
-//                                      exit 0 iff zero unique crashes)
-//   swsec curves [options]             Monte-Carlo probabilistic defense
-//                                      curves: attack-success probability
-//                                      with Wilson CIs across ASLR entropy
-//                                      levels and canary-guess budgets
-//                                      (--trials N, --jobs N, --out FILE)
-//   swsec campaign run|resume|status   crash-safe campaign engine: the
-//                                      matrix, the fault sweep or the fuzzer
-//                                      run as a checkpointed cell lattice in
-//                                      --dir.  Every finished cell lands in a
-//                                      CRC-framed write-ahead log; kill -9 the
-//                                      process and `campaign resume --dir D`
-//                                      re-runs only the missing cells, ending
-//                                      with a byte-identical report.jsonl.
-//                                      Cells that time out or crash twice are
-//                                      quarantined with repro coordinates
-//                                      (quarantine.jsonl) instead of failing
-//                                      the campaign.
-//   swsec profile <scenario|file.mc>   source-level profile of a victim run:
-//                                      hot blocks, per-line heat, annotated
-//                                      disassembly, flamegraph-folded stacks
-//                                      (--out report.json, --folded out.txt,
-//                                       --annotate, --sample-interval N)
+//   swsec run <file.mc>               compile and run a MiniC program
+//   swsec asm|disasm <file.mc>        the generated assembly / linked code
+//   swsec lint <file.mc>              static memory-safety analysis
+//   swsec gadgets <file.mc>           ROP-gadget census of the binary
+//   swsec fig1                        regenerate the paper's Fig. 1
+//   swsec matrix                      the attack/defense matrix
+//   swsec fault-sweep                 fail-closed fault-injection sweep
+//                                     (exit 0 iff the invariant holds)
+//   swsec trace <scenario>            one observability scenario's event
+//                                     trace as JSONL (counters on stderr)
+//   swsec profile <scenario|file.mc>  source-level profile of a victim run:
+//                                     hot blocks, line heat, folded stacks
+//   swsec fuzz                        differential semantics-preservation
+//                                     fuzzing (exit 0 iff zero divergences)
+//   swsec evolve                      coverage-guided evolutionary fuzzing
+//                                     (exit 0 iff zero unique crashes)
+//   swsec curves                      Monte-Carlo defense curves (Wilson CIs
+//                                     across ASLR entropy and guess budgets)
+//   swsec campaign run|resume|status  the matrix, fault sweep or fuzzer as a
+//                                     checkpointed cell lattice in --dir:
+//                                     kill -9 and resume re-runs only the
+//                                     missing cells, byte-identically; cells
+//                                     that hang or crash twice are
+//                                     quarantined with repro coordinates.
 //
-// matrix, fault-sweep and fuzz also accept --metrics-out FILE: the unified
-// metrics registry (decode-cache hit rates, heap high-water, fault/retry
-// tallies, verdict counts) as deterministic JSON — byte-identical for any
-// --jobs value.  --prom-out FILE writes the same registry in Prometheus
-// text exposition format, equally deterministic; the campaign variant also
-// refreshes it at every heartbeat (see --heartbeat-ms).
+// Each command declares its flags as rows of a table (`Flag`); one loop
+// (`Cli::parse`) reads argv against the rows, and usage is printed from the
+// same rows.  One reader takes every number: the whole argument must be one
+// unsigned integer in C notation (0x.. works) within the row's bounds and
+// the field's range.  Anything else exits 2 naming the flag, before any
+// harness work starts.
 //
-// Both sweeps are deterministic for any --jobs value: cells are handed out
-// by index and merged by index, so parallel output — including --trace-out
-// provenance JSONL — is byte-identical to serial.  --jobs 0 means one
-// worker per hardware thread.  Traces are likewise byte-identical with the
-// decode cache on or off.
-//
-// Hardening options (run/asm/disasm):
-//   --canary --bounds --fortify --memcheck     compiler passes
-//   --sanitize                                 shadow-memory red zones (compiler+kernel)
-//   --dep --aslr --shadow-stack --cfi          platform configuration
-//   --seed N                                   deterministic randomness
-//   --input STR                                bytes fed to fd 0
+// --metrics-out FILE writes a harness's metrics registry as deterministic
+// JSON, --prom-out FILE the same registry in Prometheus text format.  The
+// sweeps are byte-identical for any --jobs value (0 = one worker per
+// hardware thread), and traces are byte-identical with the decode cache on
+// or off.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "attacks/gadgets.hpp"
@@ -111,49 +78,256 @@ namespace {
 
 using namespace swsec;
 
+// ---- the flag table ---------------------------------------------------------
+
+/// A switch that turns on two fields: a compiler pass and its platform half.
+struct SwitchPair {
+    bool* first;
+    bool* second;
+};
+
+using Target = std::variant<bool*, SwitchPair, std::string*, int*, unsigned*, std::uint64_t*,
+                            std::int64_t*, std::optional<std::uint64_t>*,
+                            std::vector<std::uint32_t>*>;
+
+template <class T> constexpr std::uint64_t field_max() {
+    if constexpr (std::is_arithmetic_v<T>) {
+        return std::numeric_limits<T>::max();
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+        return std::numeric_limits<std::uint32_t>::max();
+    } else {
+        return std::numeric_limits<std::uint64_t>::max();
+    }
+}
+
+/// One row of a command's flag table.  Switches (bool targets) take no
+/// argument; every other flag takes the next one.  A number, and each
+/// element of a comma-separated list, must lie in [min, max], which the
+/// constructor narrows to what the field can hold.
+struct Flag {
+    Flag(std::string_view n, bool* t) : name(n), target(t) {}
+    Flag(std::string_view n, SwitchPair t) : name(n), target(t) {}
+    template <class T>
+    Flag(std::string_view n, T* t, std::string_view mv, std::uint64_t lo = 0,
+         std::uint64_t hi = field_max<T>())
+        : name(n), target(t), metavar(mv), min(lo), max(std::min(hi, field_max<T>())) {}
+
+    std::string_view name;
+    Target target;
+    std::string_view metavar;
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
+};
+
+/// Workers are OS threads: no host this runs on has use for more, and the
+/// cap keeps a typo from starting thousands of them.
+constexpr std::uint64_t kMaxJobs = 256;
+
+Flag jobs_flag(int& jobs) { return {"--jobs", &jobs, "N", 0, kMaxJobs}; }
+
+/// The one numeric reader: all of `text` is one unsigned integer in C
+/// notation (decimal, 0x hex, 0 octal) within [min, max].
+std::optional<std::uint64_t> read_number(const std::string& text, std::uint64_t min,
+                                         std::uint64_t max) {
+    // strtoull would skip leading blanks and accept (and negate) a sign.
+    if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+        return std::nullopt;
+    }
+    errno = 0;
+    char* end = nullptr;
+    const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
+    if (errno != 0 || *end != '\0' || v < min || v > max) {
+        return std::nullopt;
+    }
+    return v;
+}
+
+/// Store `text` into a value flag's target; false if it is not a valid value.
+bool store(const Flag& f, const std::string& text) {
+    return std::visit(
+        [&](auto target) -> bool {
+            using Field = std::remove_pointer_t<decltype(target)>;
+            if constexpr (std::is_same_v<Field, std::string>) {
+                *target = text;
+                return true;
+            } else if constexpr (std::is_same_v<Field, std::vector<std::uint32_t>>) {
+                std::vector<std::uint32_t> list;
+                for (std::size_t pos = 0;;) {
+                    const std::size_t comma = text.find(',', pos);
+                    const auto v = read_number(text.substr(pos, comma - pos), f.min, f.max);
+                    if (!v) {
+                        return false;
+                    }
+                    list.push_back(static_cast<std::uint32_t>(*v));
+                    if (comma == std::string::npos) {
+                        break;
+                    }
+                    pos = comma + 1;
+                }
+                *target = std::move(list);
+                return true;
+            } else if constexpr (std::is_same_v<Field, SwitchPair>) {
+                return false; // switches take no value
+            } else {
+                const auto v = read_number(text, f.min, f.max);
+                if (v) {
+                    *target = static_cast<Field>(*v);
+                }
+                return v.has_value();
+            }
+        },
+        f.target);
+}
+
+std::string describe_value(const Flag& f) {
+    const std::string range = "[" + std::to_string(f.min) + ", " + std::to_string(f.max) + "]";
+    if (std::holds_alternative<std::vector<std::uint32_t>*>(f.target)) {
+        return "comma-separated integers in " + range;
+    }
+    return "an integer in " + range;
+}
+
+struct Command;
+
+/// One command's arguments, read against the command's flag table.
+///
+/// Usage mode: `parse` appends the command's synopsis to the usage text and
+/// returns false without reading anything, so a command prints its usage by
+/// running up to its table and stopping there.
+class Cli {
+public:
+    Cli(const Command& cmd, std::string name, std::vector<std::string> args,
+        std::string* usage = nullptr)
+        : cmd_(&cmd), name_(std::move(name)), args_(std::move(args)), usage_(usage) {}
+
+    /// The one argv loop.  The first bare word fills `operand` (when the
+    /// command takes one).  False, after printing why and the command's
+    /// usage, on any unknown flag, missing value or bad value.
+    bool parse(const std::vector<Flag>& flags, std::string* operand = nullptr);
+
+    /// Print "swsec <command>: <message>" and the command's usage; exit code 2.
+    int error(const std::string& message) const;
+
+    [[nodiscard]] const std::string& name() const noexcept { return name_; }
+
+private:
+    [[nodiscard]] std::string synopsis() const;
+    bool reject(const std::string& message) const {
+        (void)error(message);
+        return false;
+    }
+
+    const Command* cmd_;
+    std::string name_;
+    std::vector<std::string> args_;
+    std::string* usage_;
+    std::vector<Flag> flags_;
+};
+
+struct Command {
+    std::string_view names;   // "run|asm|...": alternatives sharing one handler
+    std::string_view operand; // the bare word it takes ("" = none)
+    int (*run)(Cli&);
+};
+
+std::string Cli::synopsis() const {
+    std::string out = "  swsec " + std::string(cmd_->names);
+    if (!cmd_->operand.empty()) {
+        out += " " + std::string(cmd_->operand);
+    }
+    out += "\n";
+    std::string line = "     ";
+    for (const Flag& f : flags_) {
+        std::string item = " " + std::string(f.name);
+        if (!f.metavar.empty()) {
+            item += " " + std::string(f.metavar);
+        }
+        if (line.size() + item.size() > 79) {
+            out += line + "\n";
+            line = "     ";
+        }
+        line += item;
+    }
+    if (!flags_.empty()) {
+        out += line + "\n";
+    }
+    return out;
+}
+
+bool Cli::parse(const std::vector<Flag>& flags, std::string* operand) {
+    flags_ = flags;
+    if (usage_ != nullptr) {
+        *usage_ += synopsis();
+        return false;
+    }
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+        const std::string& arg = args_[i];
+        const auto row = std::find_if(flags.begin(), flags.end(),
+                                      [&](const Flag& f) { return f.name == arg; });
+        if (row == flags.end()) {
+            const bool bare = !arg.empty() && arg[0] != '-';
+            if (bare && operand != nullptr && operand->empty()) {
+                *operand = arg;
+                continue;
+            }
+            return reject((bare ? "unexpected argument '" : "unknown option '") + arg + "'");
+        }
+        if (const auto* b = std::get_if<bool*>(&row->target)) {
+            **b = true;
+        } else if (const auto* pair = std::get_if<SwitchPair>(&row->target)) {
+            *pair->first = true;
+            *pair->second = true;
+        } else if (i + 1 == args_.size()) {
+            return reject(arg + " needs a value (" + std::string(row->metavar) + ")");
+        } else if (!store(*row, args_[++i])) {
+            return reject(arg + " takes " + describe_value(*row) + ", not '" + args_[i] + "'");
+        }
+    }
+    return true;
+}
+
+int Cli::error(const std::string& message) const {
+    std::fprintf(stderr, "swsec %s: %s\nusage:\n%s", name_.c_str(), message.c_str(),
+                 synopsis().c_str());
+    return 2;
+}
+
+// ---- shared rows and outputs --------------------------------------------------
+
+/// Options of the commands that compile a program file.
 struct Options {
     cc::CompilerOptions copts;
     os::SecurityProfile profile;
-    std::uint64_t seed = 1;
+    std::optional<std::uint64_t> seed; // unset: each command's default
     std::string input;
     std::string file;
+
+    /// The hardening rows, plus the seed and fd-0 input of the run.
+    std::vector<Flag> flags() {
+        return {
+            {"--canary", &copts.stack_canaries},
+            {"--bounds", &copts.bounds_checks},
+            {"--fortify", &copts.fortify_reads},
+            {"--memcheck", SwitchPair{&copts.memcheck, &profile.memcheck}},
+            {"--sanitize", SwitchPair{&copts.sanitize_address, &profile.sanitize_address}},
+            {"--dep", &profile.dep},
+            {"--aslr", &profile.aslr},
+            {"--shadow-stack", &profile.shadow_stack},
+            {"--cfi", &profile.coarse_cfi},
+            {"--seed", &seed, "N"},
+            {"--input", &input, "STR"},
+        };
+    }
 };
 
-int usage() {
-    const std::string text =
-        "usage: swsec "
-        "<run|asm|disasm|lint|gadgets|fig1|matrix|fault-sweep|trace|fuzz|evolve|curves|"
-        "profile|campaign> [file.mc|scenario] [options]\n"
-        "options: --canary --bounds --fortify --memcheck --sanitize --dep --aslr\n"
-        "         --shadow-stack --cfi --seed N --input STR\n"
-        "matrix options: --jobs N --trace-out FILE --metrics-out FILE --prom-out FILE\n"
-        "fault-sweep options: --fault-seed N --windows N --jobs N --trace-out FILE\n"
-        "                     --metrics-out FILE --prom-out FILE\n"
-        "trace scenarios: " + core::scenario_list() + "\n"
-        "trace options: --trace-out FILE --no-decode-cache --seed N --attacker-seed N\n"
-        "fuzz options: --seeds N --seed-base B --jobs N --minimize --replay FILE --out FILE\n"
-        "              --coverage --coverage-out FILE --metrics-out FILE --prom-out FILE\n"
-        "evolve options: --seed N --execs N --init N --batch N --jobs N --max-corpus N\n"
-        "                --out FILE --json-out FILE --curve-out FILE --metrics-out FILE\n"
-        "curves options: --trials N --jobs N --aslr-bits LIST --budgets LIST\n"
-        "                --canary-bits N --seed N --out FILE --metrics-out FILE\n"
-        "profile scenarios: " + core::scenario_list(true) + "\n"
-        "profile options: --out FILE --folded FILE --annotate --sample-interval N\n"
-        "                 --seed N --attacker-seed N (+ hardening options for file.mc)\n"
-        "campaign: swsec campaign run --kind matrix|fault-sweep|fuzz|fuzz-evolve --dir DIR\n"
-        "          (--fuzz-evolve = --kind fuzz-evolve)\n"
-        "          swsec campaign resume --dir DIR\n"
-        "          swsec campaign status --dir DIR [--follow]\n"
-        "campaign spec options: --draws N --seeds N --seed-base B --windows N\n"
-        "          --victim-seed N --attacker-seed N --fault-seed N\n"
-        "          --evolve-execs N --evolve-init N (fuzz-evolve island budget)\n"
-        "          --hang-cell N --crash-cell N --crash-times N (sabotage, for tests)\n"
-        "campaign exec options: --jobs N --cell-timeout-ms N --retries N --backoff-ms N\n"
-        "          --fsync-every N --max-cells N --metrics-out FILE --prom-out FILE\n"
-        "          --heartbeat-ms N (progress.jsonl heartbeat cadence; 0 = off)\n";
-    std::fputs(text.c_str(), stderr);
-    return 2;
-}
+/// --metrics-out and --prom-out, for every harness that exports a registry.
+struct Exports {
+    std::string json;
+    std::string prom;
+
+    Flag json_flag() { return {"--metrics-out", &json, "FILE"}; }
+    Flag prom_flag() { return {"--prom-out", &prom, "FILE"}; }
+};
 
 /// Write `text` to `path`, or to stdout when path is "-" / empty.  File
 /// writes are atomic (temp + fsync + rename): a killed run leaves either
@@ -166,6 +340,22 @@ void write_out(const std::string& path, const std::string& text) {
     write_file_atomic(path, text);
 }
 
+/// Build the registry only when an export asked for it, then write each
+/// requested form.
+void write_registry(const Exports& out, const std::function<profile::Registry()>& build,
+                    bool include_volatile = false) {
+    if (out.json.empty() && out.prom.empty()) {
+        return;
+    }
+    const profile::Registry reg = build();
+    if (!out.json.empty()) {
+        write_out(out.json, reg.to_json(include_volatile));
+    }
+    if (!out.prom.empty()) {
+        write_out(out.prom, reg.to_prometheus(include_volatile));
+    }
+}
+
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -176,46 +366,11 @@ std::string read_file(const std::string& path) {
     return ss.str();
 }
 
-bool parse_options(int argc, char** argv, int start, Options& out) {
-    for (int i = start; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--canary") {
-            out.copts.stack_canaries = true;
-        } else if (arg == "--bounds") {
-            out.copts.bounds_checks = true;
-        } else if (arg == "--fortify") {
-            out.copts.fortify_reads = true;
-        } else if (arg == "--memcheck") {
-            out.copts.memcheck = true;
-            out.profile.memcheck = true;
-        } else if (arg == "--sanitize") {
-            out.copts.sanitize_address = true;
-            out.profile.sanitize_address = true;
-        } else if (arg == "--dep") {
-            out.profile.dep = true;
-        } else if (arg == "--aslr") {
-            out.profile.aslr = true;
-        } else if (arg == "--shadow-stack") {
-            out.profile.shadow_stack = true;
-        } else if (arg == "--cfi") {
-            out.profile.coarse_cfi = true;
-        } else if (arg == "--seed" && i + 1 < argc) {
-            out.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--input" && i + 1 < argc) {
-            out.input = argv[++i];
-        } else if (!arg.empty() && arg[0] != '-' && out.file.empty()) {
-            out.file = arg;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return false;
-        }
-    }
-    return true;
-}
+// ---- commands ---------------------------------------------------------------
 
 int cmd_run(const Options& opt) {
     const auto img = cc::compile_program({read_file(opt.file)}, opt.copts);
-    os::Process p(img, opt.profile, opt.seed);
+    os::Process p(img, opt.profile, opt.seed.value_or(1));
     if (!opt.input.empty()) {
         p.feed_input(opt.input);
     }
@@ -272,44 +427,56 @@ int cmd_gadgets(const Options& opt) {
     return 0;
 }
 
-int cmd_matrix(int argc, char** argv) {
+int cmd_file(Cli& cli) {
+    Options opt;
+    if (!cli.parse(opt.flags(), &opt.file)) {
+        return 2;
+    }
+    if (opt.file.empty()) {
+        return cli.error("missing <file.mc>");
+    }
+    const std::string& cmd = cli.name();
+    if (cmd == "run") {
+        return cmd_run(opt);
+    }
+    if (cmd == "asm") {
+        return cmd_asm(opt);
+    }
+    if (cmd == "disasm") {
+        return cmd_disasm(opt);
+    }
+    if (cmd == "lint") {
+        return cmd_lint(opt);
+    }
+    return cmd_gadgets(opt);
+}
+
+int cmd_fig1(Cli& cli) {
+    if (!cli.parse({})) {
+        return 2;
+    }
+    std::fputs(core::make_fig1_snapshot().full_report.c_str(), stdout);
+    return 0;
+}
+
+int cmd_matrix(Cli& cli) {
     int jobs = 1;
     std::string trace_out;
-    std::string metrics_out;
-    std::string prom_out;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            trace_out = argv[++i];
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            metrics_out = argv[++i];
-        } else if (arg == "--prom-out" && i + 1 < argc) {
-            prom_out = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown matrix option '%s'\n", arg.c_str());
-            return 2;
-        }
+    Exports exports;
+    if (!cli.parse({jobs_flag(jobs), {"--trace-out", &trace_out, "FILE"}, exports.json_flag(),
+                    exports.prom_flag()})) {
+        return 2;
     }
     const auto cells = core::run_matrix(1001, 2002, jobs);
     std::fputs(core::format_matrix(cells).c_str(), stdout);
     if (!trace_out.empty()) {
         write_out(trace_out, core::matrix_cells_jsonl(cells));
     }
-    if (!metrics_out.empty() || !prom_out.empty()) {
-        const profile::Registry reg = core::matrix_metrics(cells);
-        if (!metrics_out.empty()) {
-            write_out(metrics_out, reg.to_json());
-        }
-        if (!prom_out.empty()) {
-            write_out(prom_out, reg.to_prometheus());
-        }
-    }
+    write_registry(exports, [&] { return core::matrix_metrics(cells); });
     return 0;
 }
 
-int cmd_profile(int argc, char** argv) {
+int cmd_profile(Cli& cli) {
     std::string target;
     std::string out_path;
     std::string folded_path;
@@ -317,53 +484,19 @@ int cmd_profile(int argc, char** argv) {
     std::uint64_t sample_interval = 97;
     Options opt; // hardening options apply in file mode only
     core::ScenarioOptions sopts;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--folded" && i + 1 < argc) {
-            folded_path = argv[++i];
-        } else if (arg == "--annotate") {
-            annotate = true;
-        } else if (arg == "--sample-interval" && i + 1 < argc) {
-            sample_interval = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--attacker-seed" && i + 1 < argc) {
-            sopts.attacker_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--canary") {
-            opt.copts.stack_canaries = true;
-        } else if (arg == "--bounds") {
-            opt.copts.bounds_checks = true;
-        } else if (arg == "--fortify") {
-            opt.copts.fortify_reads = true;
-        } else if (arg == "--memcheck") {
-            opt.copts.memcheck = true;
-            opt.profile.memcheck = true;
-        } else if (arg == "--sanitize") {
-            opt.copts.sanitize_address = true;
-            opt.profile.sanitize_address = true;
-        } else if (arg == "--dep") {
-            opt.profile.dep = true;
-        } else if (arg == "--aslr") {
-            opt.profile.aslr = true;
-        } else if (arg == "--shadow-stack") {
-            opt.profile.shadow_stack = true;
-        } else if (arg == "--cfi") {
-            opt.profile.coarse_cfi = true;
-        } else if (arg == "--seed" && i + 1 < argc) {
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--input" && i + 1 < argc) {
-            opt.input = argv[++i];
-        } else if (!arg.empty() && arg[0] != '-' && target.empty()) {
-            target = arg;
-        } else {
-            std::fprintf(stderr, "unknown profile option '%s'\n", arg.c_str());
-            return 2;
-        }
+    std::vector<Flag> flags = opt.flags();
+    flags.insert(flags.begin(), {
+                                    {"--out", &out_path, "FILE"},
+                                    {"--folded", &folded_path, "FILE"},
+                                    {"--annotate", &annotate},
+                                    {"--sample-interval", &sample_interval, "N"},
+                                    {"--attacker-seed", &sopts.attacker_seed, "N"},
+                                });
+    if (!cli.parse(flags, &target)) {
+        return 2;
     }
     if (target.empty()) {
-        std::fprintf(stderr, "profile scenarios: %s  (or a file.mc)\n",
-                     core::scenario_list(true).c_str());
-        return 2;
+        return cli.error("missing <scenario|file.mc>; scenarios: " + core::scenario_list(true));
     }
 
     profile::Profiler prof;
@@ -371,7 +504,7 @@ int cmd_profile(int argc, char** argv) {
     profile::ProfileReport report;
     const auto names = core::scenario_names();
     if (std::find(names.begin(), names.end(), target) != names.end()) {
-        sopts.victim_seed = opt.seed != 1 ? opt.seed : sopts.victim_seed;
+        sopts.victim_seed = opt.seed.value_or(sopts.victim_seed);
         sopts.profiler = &prof;
         const core::AttackOutcome out = core::run_scenario(target, sopts);
         report = profile::build_report(prof, *out.image, out.text_base);
@@ -385,7 +518,7 @@ int cmd_profile(int argc, char** argv) {
         const auto img = cc::compile_program({read_file(target)}, opt.copts);
         os::SecurityProfile p = opt.profile;
         p.profiler = &prof;
-        os::Process proc(img, p, opt.seed);
+        os::Process proc(img, p, opt.seed.value_or(1));
         if (!opt.input.empty()) {
             proc.feed_input(opt.input);
         }
@@ -408,31 +541,22 @@ int cmd_profile(int argc, char** argv) {
     return 0;
 }
 
-int cmd_trace(int argc, char** argv) {
+int cmd_trace(Cli& cli) {
     std::string scenario;
     std::string trace_out;
+    bool no_decode_cache = false;
     core::ScenarioOptions opts;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--no-decode-cache") {
-            opts.decode_cache = false;
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            trace_out = argv[++i];
-        } else if (arg == "--seed" && i + 1 < argc) {
-            opts.victim_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--attacker-seed" && i + 1 < argc) {
-            opts.attacker_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!arg.empty() && arg[0] != '-' && scenario.empty()) {
-            scenario = arg;
-        } else {
-            std::fprintf(stderr, "unknown trace option '%s'\n", arg.c_str());
-            return 2;
-        }
-    }
-    if (scenario.empty()) {
-        std::fprintf(stderr, "trace scenarios: %s\n", core::scenario_list().c_str());
+    if (!cli.parse({{"--trace-out", &trace_out, "FILE"},
+                    {"--no-decode-cache", &no_decode_cache},
+                    {"--seed", &opts.victim_seed, "N"},
+                    {"--attacker-seed", &opts.attacker_seed, "N"}},
+                   &scenario)) {
         return 2;
     }
+    if (scenario.empty()) {
+        return cli.error("missing <scenario>; scenarios: " + core::scenario_list());
+    }
+    opts.decode_cache = !no_decode_cache;
     trace::Tracer tracer;
     opts.tracer = &tracer;
     const core::AttackOutcome out = core::run_scenario(scenario, opts);
@@ -443,39 +567,23 @@ int cmd_trace(int argc, char** argv) {
     return 0;
 }
 
-int cmd_fuzz(int argc, char** argv) {
+int cmd_fuzz(Cli& cli) {
     fuzz::FuzzOptions opts;
     std::string replay_path;
     std::string out_path;
     std::string coverage_out;
-    std::string metrics_out;
-    std::string prom_out;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seeds" && i + 1 < argc) {
-            opts.seeds = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--seed-base" && i + 1 < argc) {
-            opts.seed_base = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--minimize") {
-            opts.minimize = true;
-        } else if (arg == "--coverage") {
-            opts.coverage = true;
-        } else if (arg == "--coverage-out" && i + 1 < argc) {
-            coverage_out = argv[++i];
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            metrics_out = argv[++i];
-        } else if (arg == "--prom-out" && i + 1 < argc) {
-            prom_out = argv[++i];
-        } else if (arg == "--replay" && i + 1 < argc) {
-            replay_path = argv[++i];
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown fuzz option '%s'\n", arg.c_str());
-            return 2;
-        }
+    Exports exports;
+    if (!cli.parse({{"--seeds", &opts.seeds, "N", 1},
+                    {"--seed-base", &opts.seed_base, "B"},
+                    jobs_flag(opts.jobs),
+                    {"--minimize", &opts.minimize},
+                    {"--replay", &replay_path, "FILE"},
+                    {"--out", &out_path, "FILE"},
+                    {"--coverage", &opts.coverage},
+                    {"--coverage-out", &coverage_out, "FILE"},
+                    exports.json_flag(),
+                    exports.prom_flag()})) {
+        return 2;
     }
 
     fuzz::FuzzReport report;
@@ -492,53 +600,30 @@ int cmd_fuzz(int argc, char** argv) {
     if (!coverage_out.empty()) {
         write_out(coverage_out, report.coverage.curve_csv(opts.seed_base));
     }
-    if (!metrics_out.empty() || !prom_out.empty()) {
-        const profile::Registry reg = fuzz::fuzz_metrics(report);
-        if (!metrics_out.empty()) {
-            write_out(metrics_out, reg.to_json());
-        }
-        if (!prom_out.empty()) {
-            write_out(prom_out, reg.to_prometheus());
-        }
-    }
+    write_registry(exports, [&] { return fuzz::fuzz_metrics(report); });
     if (!report.clean()) {
         std::fputs(fuzz::to_repro_file(report.divergences).c_str(), stderr);
     }
     return report.clean() ? 0 : 1;
 }
 
-int cmd_evolve(int argc, char** argv) {
+int cmd_evolve(Cli& cli) {
     fuzz::EvolveOptions opts;
     std::string out_path;
     std::string json_out;
     std::string curve_out;
-    std::string metrics_out;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--execs" && i + 1 < argc) {
-            opts.execs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--init" && i + 1 < argc) {
-            opts.init_programs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--batch" && i + 1 < argc) {
-            opts.batch = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--max-corpus" && i + 1 < argc) {
-            opts.max_corpus = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--json-out" && i + 1 < argc) {
-            json_out = argv[++i];
-        } else if (arg == "--curve-out" && i + 1 < argc) {
-            curve_out = argv[++i];
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            metrics_out = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown evolve option '%s'\n", arg.c_str());
-            return 2;
-        }
+    Exports exports;
+    if (!cli.parse({{"--seed", &opts.seed, "N"},
+                    {"--execs", &opts.execs, "N", 1},
+                    {"--init", &opts.init_programs, "N", 1},
+                    {"--batch", &opts.batch, "N", 1},
+                    jobs_flag(opts.jobs),
+                    {"--max-corpus", &opts.max_corpus, "N"},
+                    {"--out", &out_path, "FILE"},
+                    {"--json-out", &json_out, "FILE"},
+                    {"--curve-out", &curve_out, "FILE"},
+                    exports.json_flag()})) {
+        return 2;
     }
     const fuzz::EvolveReport report = fuzz::run_evolve(opts);
     std::fputs(report.summary().c_str(), stdout);
@@ -562,18 +647,7 @@ int cmd_evolve(int argc, char** argv) {
         }
         write_out(curve_out, csv);
     }
-    if (!metrics_out.empty()) {
-        profile::Registry reg;
-        const profile::Labels base = {{"harness", "evolve"}};
-        reg.counter_add("evolve_execs_total", base, static_cast<std::uint64_t>(report.execs));
-        reg.counter_add("evolve_rounds_total", base, static_cast<std::uint64_t>(report.rounds));
-        reg.counter_add("evolve_runs_total", base, report.runs);
-        reg.counter_add("evolve_divergences_total", base, report.divergences_total);
-        reg.counter_add("evolve_unique_crashes_total", base, report.crashes.size());
-        reg.gauge_set("evolve_corpus_size", base, static_cast<double>(report.corpus_size));
-        reg.gauge_set("coverage_edges", base, static_cast<double>(report.total_buckets));
-        write_out(metrics_out, reg.to_json());
-    }
+    write_registry(exports, [&] { return fuzz::evolve_metrics(report); });
     if (!report.crashes.empty()) {
         for (const fuzz::CrashRecord& c : report.crashes) {
             std::fputs(fuzz::to_repro(c.div).c_str(), stderr);
@@ -582,173 +656,93 @@ int cmd_evolve(int argc, char** argv) {
     return report.crashes.empty() ? 0 : 1;
 }
 
-/// "a,b,c" -> {a,b,c}; accepts any strtoul-parsable element.
-std::vector<std::uint32_t> parse_u32_list(const std::string& s) {
-    std::vector<std::uint32_t> out;
-    std::string cur;
-    for (const char c : s + ",") {
-        if (c == ',') {
-            if (!cur.empty()) {
-                out.push_back(static_cast<std::uint32_t>(std::strtoul(cur.c_str(), nullptr, 0)));
-                cur.clear();
-            }
-        } else {
-            cur.push_back(c);
-        }
-    }
-    return out;
-}
-
-int cmd_curves(int argc, char** argv) {
+int cmd_curves(Cli& cli) {
     core::CurveOptions opts;
     std::string out_path;
-    std::string metrics_out;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--trials" && i + 1 < argc) {
-            opts.trials = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--aslr-bits" && i + 1 < argc) {
-            opts.aslr_bits = parse_u32_list(argv[++i]);
-        } else if (arg == "--budgets" && i + 1 < argc) {
-            opts.canary_budgets = parse_u32_list(argv[++i]);
-        } else if (arg == "--canary-bits" && i + 1 < argc) {
-            opts.canary_bits = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 0));
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            metrics_out = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown curves option '%s'\n", arg.c_str());
-            return 2;
-        }
+    Exports exports;
+    if (!cli.parse({{"--trials", &opts.trials, "N", 1},
+                    jobs_flag(opts.jobs),
+                    {"--seed", &opts.seed, "N"},
+                    {"--aslr-bits", &opts.aslr_bits, "LIST"},
+                    {"--budgets", &opts.canary_budgets, "LIST"},
+                    {"--canary-bits", &opts.canary_bits, "N"},
+                    {"--out", &out_path, "FILE"},
+                    exports.json_flag()})) {
+        return 2;
     }
     const core::CurveReport report = core::run_curves(opts);
     std::fputs(report.summary().c_str(), stdout);
     if (!out_path.empty()) {
         write_out(out_path, report.to_jsonl());
     }
-    if (!metrics_out.empty()) {
-        write_out(metrics_out, core::curve_metrics(report).to_json());
-    }
+    write_registry(exports, [&] { return core::curve_metrics(report); });
     return 0;
 }
 
-int cmd_fault_sweep(int argc, char** argv) {
+int cmd_fault_sweep(Cli& cli) {
     core::FaultSweepOptions opts;
     std::string trace_out;
-    std::string metrics_out;
-    std::string prom_out;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fault-seed" && i + 1 < argc) {
-            opts.fault_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--windows" && i + 1 < argc) {
-            opts.windows_per_class = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--trace-out" && i + 1 < argc) {
-            trace_out = argv[++i];
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            metrics_out = argv[++i];
-        } else if (arg == "--prom-out" && i + 1 < argc) {
-            prom_out = argv[++i];
-        } else {
-            std::fprintf(stderr, "unknown fault-sweep option '%s'\n", arg.c_str());
-            return 2;
-        }
+    Exports exports;
+    if (!cli.parse({{"--fault-seed", &opts.fault_seed, "N"},
+                    {"--windows", &opts.windows_per_class, "N", 1},
+                    jobs_flag(opts.jobs),
+                    {"--trace-out", &trace_out, "FILE"},
+                    exports.json_flag(),
+                    exports.prom_flag()})) {
+        return 2;
     }
     const auto report = core::run_fault_sweep(opts);
     std::fputs(report.summary().c_str(), stdout);
     if (!trace_out.empty()) {
         write_out(trace_out, core::matrix_cells_jsonl(report.baseline_cells));
     }
-    if (!metrics_out.empty() || !prom_out.empty()) {
-        const profile::Registry reg = core::fault_sweep_metrics(report);
-        if (!metrics_out.empty()) {
-            write_out(metrics_out, reg.to_json());
-        }
-        if (!prom_out.empty()) {
-            write_out(prom_out, reg.to_prometheus());
-        }
-    }
+    write_registry(exports, [&] { return core::fault_sweep_metrics(report); });
     return report.fail_closed() ? 0 : 1;
 }
 
-int cmd_campaign(int argc, char** argv) {
-    if (argc < 3) {
-        return usage();
-    }
-    const std::string verb = argv[2];
+int cmd_campaign(Cli& cli) {
+    std::string verb;
     campaign::Spec spec;
     campaign::Options opts;
     std::string dir;
-    std::string metrics_out;
     std::string kind_arg;
     bool follow = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--kind" && i + 1 < argc) {
-            kind_arg = argv[++i];
-        } else if (arg == "--fuzz-evolve") {
-            kind_arg = "fuzz-evolve"; // shorthand for --kind fuzz-evolve
-        } else if (arg == "--dir" && i + 1 < argc) {
-            dir = argv[++i];
-        } else if (arg == "--draws" && i + 1 < argc) {
-            spec.draws = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--seeds" && i + 1 < argc) {
-            spec.seeds = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--seed-base" && i + 1 < argc) {
-            spec.seed_base = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--windows" && i + 1 < argc) {
-            spec.windows_per_class = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--evolve-execs" && i + 1 < argc) {
-            spec.evolve_execs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--evolve-init" && i + 1 < argc) {
-            spec.evolve_init = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--victim-seed" && i + 1 < argc) {
-            spec.victim_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--attacker-seed" && i + 1 < argc) {
-            spec.attacker_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--fault-seed" && i + 1 < argc) {
-            spec.fault_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--hang-cell" && i + 1 < argc) {
-            spec.sabotage.hang_cell = std::strtoll(argv[++i], nullptr, 0);
-        } else if (arg == "--crash-cell" && i + 1 < argc) {
-            spec.sabotage.crash_cell = std::strtoll(argv[++i], nullptr, 0);
-        } else if (arg == "--crash-times" && i + 1 < argc) {
-            spec.sabotage.crash_times = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--cell-timeout-ms" && i + 1 < argc) {
-            opts.cell_timeout_ms = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--retries" && i + 1 < argc) {
-            opts.max_attempts = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
-        } else if (arg == "--backoff-ms" && i + 1 < argc) {
-            opts.retry_backoff_ms = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--fsync-every" && i + 1 < argc) {
-            opts.fsync_every = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
-        } else if (arg == "--max-cells" && i + 1 < argc) {
-            opts.max_cells = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--heartbeat-ms" && i + 1 < argc) {
-            opts.heartbeat_ms = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            metrics_out = argv[++i];
-        } else if (arg == "--prom-out" && i + 1 < argc) {
-            opts.prom_out = argv[++i];
-        } else if (arg == "--follow") {
-            follow = true;
-        } else {
-            std::fprintf(stderr, "unknown campaign option '%s'\n", arg.c_str());
-            return 2;
-        }
+    Exports exports;
+    if (!cli.parse({{"--kind", &kind_arg, "matrix|fault-sweep|fuzz|fuzz-evolve"},
+                    {"--dir", &dir, "DIR"},
+                    // The spec: which lattice, and its seeds.
+                    {"--draws", &spec.draws, "N", 1},
+                    {"--seeds", &spec.seeds, "N", 1},
+                    {"--seed-base", &spec.seed_base, "B"},
+                    {"--windows", &spec.windows_per_class, "N", 1},
+                    {"--evolve-execs", &spec.evolve_execs, "N", 1},
+                    {"--evolve-init", &spec.evolve_init, "N", 1},
+                    {"--victim-seed", &spec.victim_seed, "N"},
+                    {"--attacker-seed", &spec.attacker_seed, "N"},
+                    {"--fault-seed", &spec.fault_seed, "N"},
+                    // Sabotage, for the quarantine tests.
+                    {"--hang-cell", &spec.sabotage.hang_cell, "N"},
+                    {"--crash-cell", &spec.sabotage.crash_cell, "N"},
+                    {"--crash-times", &spec.sabotage.crash_times, "N"},
+                    // Execution.
+                    jobs_flag(opts.jobs),
+                    {"--cell-timeout-ms", &opts.cell_timeout_ms, "N"},
+                    {"--retries", &opts.max_attempts, "N", 1},
+                    {"--backoff-ms", &opts.retry_backoff_ms, "N"},
+                    {"--fsync-every", &opts.fsync_every, "N"},
+                    {"--max-cells", &opts.max_cells, "N"},
+                    {"--heartbeat-ms", &opts.heartbeat_ms, "N"},
+                    exports.json_flag(),
+                    exports.prom_flag(),
+                    {"--follow", &follow}},
+                   &verb)) {
+        return 2;
+    }
+    if (verb != "run" && verb != "resume" && verb != "status") {
+        return cli.error(verb.empty() ? "missing run|resume|status" : "unknown verb '" + verb + "'");
     }
     if (dir.empty()) {
-        std::fputs("campaign: --dir is required\n", stderr);
-        return 2;
+        return cli.error("--dir is required");
     }
     if (verb == "status") {
         campaign::Status st = campaign::campaign_status(dir);
@@ -777,18 +771,16 @@ int cmd_campaign(int argc, char** argv) {
         }
         return st.complete() ? 0 : 3;
     }
+    // The heartbeat refreshes the Prometheus file while the campaign runs.
+    opts.prom_out = exports.prom;
     campaign::Report report;
     if (verb == "run") {
         if (!campaign::kind_from_name(kind_arg, spec.kind)) {
-            std::fputs("campaign run: --kind must be matrix, fault-sweep, fuzz or fuzz-evolve\n",
-                       stderr);
-            return 2;
+            return cli.error("--kind must be matrix, fault-sweep, fuzz or fuzz-evolve");
         }
         report = campaign::run_campaign(spec, dir, opts);
-    } else if (verb == "resume") {
-        report = campaign::resume_campaign(dir, opts);
     } else {
-        return usage();
+        report = campaign::resume_campaign(dir, opts);
     }
     // stdout stays deterministic (diffable across serial/parallel/resumed
     // runs); throughput and scheduler stats go to stderr for humans.
@@ -807,84 +799,68 @@ int cmd_campaign(int argc, char** argv) {
                  static_cast<unsigned long long>(report.sched.steals),
                  static_cast<unsigned long long>(report.cells_resumed),
                  static_cast<unsigned long long>(report.wal_lines_dropped));
-    if (!metrics_out.empty() || !opts.prom_out.empty()) {
-        // include_volatile: the campaign export is for post-mortems, and
-        // cells/sec + steal counts are the point; CI byte-diffs report.jsonl
-        // and summary.txt, never this file.
-        const profile::Registry reg = campaign::campaign_metrics(report);
-        if (!metrics_out.empty()) {
-            write_out(metrics_out, reg.to_json(true));
-        }
-        if (!opts.prom_out.empty()) {
-            // Final snapshot supersedes the heartbeat-time ones: same path,
-            // now with the merged post-run registry.
-            write_out(opts.prom_out, reg.to_prometheus(true));
-        }
-    }
+    // include_volatile: the campaign export is for post-mortems, and
+    // cells/sec + steal counts are the point; CI byte-diffs report.jsonl and
+    // summary.txt, never this file.  The final Prometheus snapshot
+    // supersedes the heartbeat-time ones.
+    write_registry(exports, [&] { return campaign::campaign_metrics(report); }, true);
     // Quarantines degrade the campaign but do not fail it; only an
     // incomplete lattice (e.g. a --max-cells test interruption) is nonzero.
     return report.complete() ? 0 : 3;
 }
 
+constexpr Command kCommands[] = {
+    {"run|asm|disasm|lint|gadgets", "<file.mc>", cmd_file},
+    {"fig1", "", cmd_fig1},
+    {"matrix", "", cmd_matrix},
+    {"fault-sweep", "", cmd_fault_sweep},
+    {"trace", "<scenario>", cmd_trace},
+    {"profile", "<scenario|file.mc>", cmd_profile},
+    {"fuzz", "", cmd_fuzz},
+    {"evolve", "", cmd_evolve},
+    {"curves", "", cmd_curves},
+    {"campaign", "run|resume|status", cmd_campaign},
+};
+
+const Command* find_command(std::string_view name) {
+    for (const Command& c : kCommands) {
+        for (std::string_view rest = c.names;;) {
+            const std::size_t bar = rest.find('|');
+            if (rest.substr(0, bar) == name) {
+                return &c;
+            }
+            if (bar == std::string_view::npos) {
+                break;
+            }
+            rest.remove_prefix(bar + 1);
+        }
+    }
+    return nullptr;
+}
+
+/// Every command's synopsis, printed from its flag table.
+int usage() {
+    std::string text = "usage: swsec <command> [operand] [options]\n";
+    for (const Command& c : kCommands) {
+        Cli cli(c, std::string(c.names), {}, &text);
+        (void)c.run(cli);
+    }
+    text += "trace scenarios: " + core::scenario_list() + "\n";
+    text += "profile scenarios: " + core::scenario_list(true) + "\n";
+    std::fputs(text.c_str(), stderr);
+    return 2;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
+    const Command* cmd = argc < 2 ? nullptr : find_command(argv[1]);
+    if (cmd == nullptr) {
         return usage();
     }
-    const std::string cmd = argv[1];
     try {
-        if (cmd == "fig1") {
-            std::fputs(core::make_fig1_snapshot().full_report.c_str(), stdout);
-            return 0;
-        }
-        if (cmd == "matrix") {
-            return cmd_matrix(argc, argv);
-        }
-        if (cmd == "fault-sweep") {
-            return cmd_fault_sweep(argc, argv);
-        }
-        if (cmd == "trace") {
-            return cmd_trace(argc, argv);
-        }
-        if (cmd == "fuzz") {
-            return cmd_fuzz(argc, argv);
-        }
-        if (cmd == "evolve") {
-            return cmd_evolve(argc, argv);
-        }
-        if (cmd == "curves") {
-            return cmd_curves(argc, argv);
-        }
-        if (cmd == "profile") {
-            return cmd_profile(argc, argv);
-        }
-        if (cmd == "campaign") {
-            return cmd_campaign(argc, argv);
-        }
-        Options opt;
-        if (!parse_options(argc, argv, 2, opt)) {
-            return usage();
-        }
-        if (opt.file.empty()) {
-            return usage();
-        }
-        if (cmd == "run") {
-            return cmd_run(opt);
-        }
-        if (cmd == "asm") {
-            return cmd_asm(opt);
-        }
-        if (cmd == "disasm") {
-            return cmd_disasm(opt);
-        }
-        if (cmd == "lint") {
-            return cmd_lint(opt);
-        }
-        if (cmd == "gadgets") {
-            return cmd_gadgets(opt);
-        }
-        return usage();
+        Cli cli(*cmd, argv[1], std::vector<std::string>(argv + 2, argv + argc));
+        return cmd->run(cli);
     } catch (const Error& e) {
         std::fprintf(stderr, "swsec: %s\n", e.what());
         return 1;
