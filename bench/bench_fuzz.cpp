@@ -3,8 +3,9 @@
 //
 // BM_FuzzCampaign prices one end-to-end campaign seed: generate a MiniC
 // program, compile it once per distinct CompilerOptions set, and run all
-// three oracles (~14 process executions across the 10 standard defenses plus
-// the decode-cache pair).  programs_per_s is the budget planner's number: a
+// three oracles (23 process executions per program: one under each of the
+// 11 standard defenses, plus a decode-cache pair and a tier pair under three
+// of them).  programs_per_s is the budget planner's number: a
 // CI smoke gate of 2000 seeds must stay in tens of seconds.  Arg is the
 // --jobs value, so the scaling of the share-nothing parallel driver is
 // visible in the same report.

@@ -35,4 +35,18 @@ private:
     std::uint64_t state_;
 };
 
+/// splitmix64-style combiner for derived seeds: a sweep's per-cell,
+/// per-trial or per-slot seed is mix64(master, position) — a pure function
+/// of the master seed and the position in the schedule, never of wall clock
+/// or thread interleaving.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
+    std::uint64_t x = a + 0x9E3779B97F4A7C15ULL * (b + 0x632BE59BD9B4E019ULL);
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return x;
+}
+
 } // namespace swsec

@@ -18,6 +18,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
+#include "common/escape.hpp"
 #include "core/attack_lab.hpp"
 #include "core/defense.hpp"
 #include "core/fault_sweep.hpp"
@@ -26,7 +27,6 @@
 #include "fuzz/evolve.hpp"
 #include "fuzz/fuzz.hpp"
 #include "os/process.hpp"
-#include "trace/trace.hpp"
 
 namespace swsec::campaign {
 
@@ -121,7 +121,7 @@ std::string run_fault_cell(const Spec& spec, std::uint64_t cell) {
             out += ",";
         }
         out += "\"";
-        out += trace::json_escape(cs.violations[i].to_string());
+        out += json_escape(cs.violations[i].to_string());
         out += "\"";
     }
     out += "],\"glitched\":[";
@@ -130,7 +130,7 @@ std::string run_fault_cell(const Spec& spec, std::uint64_t cell) {
             out += ",";
         }
         out += "\"";
-        out += trace::json_escape(cs.glitched[i].to_string());
+        out += json_escape(cs.glitched[i].to_string());
         out += "\"";
     }
     out += "]}";
@@ -148,7 +148,7 @@ std::string run_fuzz_cell(const Spec& spec, std::uint64_t cell) {
     out += ",\"const_checks\":" + std::to_string(stats.const_checks);
     out += ",\"divergences\":" + std::to_string(divs.size());
     if (!divs.empty()) {
-        out += ",\"repro\":\"" + trace::json_escape(fuzz::to_repro_file(divs)) + "\"";
+        out += ",\"repro\":\"" + json_escape(fuzz::to_repro_file(divs)) + "\"";
     }
     out += "}";
     return out;

@@ -11,7 +11,7 @@
 #include "common/atomic_file.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
-#include "trace/trace.hpp"
+#include "common/escape.hpp"
 
 namespace swsec::campaign {
 
@@ -28,7 +28,7 @@ std::string hex8(std::uint32_t v) {
     return s;
 }
 
-/// Inverse of trace::json_escape for the subset it emits ("\\" '\"' \n \r
+/// Inverse of json_escape for the subset it emits ("\\" '\"' \n \r
 /// \t \u00XX).  Returns false on a malformed escape.
 bool json_unescape(std::string_view in, std::string& out) {
     out.clear();
@@ -124,7 +124,7 @@ std::string wal_line(const WalRecord& rec) {
     } else {
         json += ",\"status\":\"quarantined\",\"reason\":\"" + rec.reason + "\"";
         json += ",\"attempts\":" + std::to_string(rec.attempts);
-        json += ",\"detail\":\"" + trace::json_escape(rec.detail) + "\"}";
+        json += ",\"detail\":\"" + json_escape(rec.detail) + "\"}";
     }
     return hex8(crc32(json)) + " " + json + "\n";
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/escape.hpp"
 #include "common/hexdump.hpp"
 #include "core/parallel.hpp"
 #include "core/run_metrics.hpp"
@@ -82,7 +83,7 @@ std::string matrix_cell_json(const MatrixCell& c) {
     const vm::Trap& t = c.outcome.trap;
     std::string out;
     out += "{\"attack\":\"" + attack_name(c.attack) + "\"";
-    out += ",\"defense\":\"" + trace::json_escape(c.defense) + "\"";
+    out += ",\"defense\":\"" + json_escape(c.defense) + "\"";
     out += c.outcome.succeeded ? ",\"succeeded\":true" : ",\"succeeded\":false";
     out += ",\"trap\":\"" + vm::trap_name(t.kind) + "\"";
     out += ",\"origin\":\"";
@@ -101,9 +102,9 @@ std::string matrix_cell_json(const MatrixCell& c) {
                          t.ip - c.outcome.text_base < c.outcome.text_size;
     out += ",\"ip_off\":";
     out += in_text ? "\"" + hex32(t.ip - c.outcome.text_base) + "\"" : "null";
-    out += ",\"sym\":\"" + trace::json_escape(c.outcome.trap_sym) + "\"";
+    out += ",\"sym\":\"" + json_escape(c.outcome.trap_sym) + "\"";
     out += ",\"steps\":" + std::to_string(c.outcome.steps);
-    out += ",\"note\":\"" + trace::json_escape(c.outcome.note) + "\"}";
+    out += ",\"note\":\"" + json_escape(c.outcome.note) + "\"}";
     return out;
 }
 

@@ -8,7 +8,7 @@
 // property the paper's countermeasures promise and the fuzzer checks.
 //
 // Observable behaviour is the byte stream on fd 1 (print_int/puts, one
-// value per line) plus the final trap.  Each program also embeds
+// value per line) plus the final trap.  Fold-probe chunks embed
 // compile-time-vs-run-time self checks: a global initialiser (folded by the
 // compiler's fold_constant_expr) is compared against the identical
 // expression recomputed at run time through the VM's ALU; on disagreement
@@ -18,6 +18,13 @@
 // minimizer can drop any subset and the rest still compiles: every chunk
 // declares its own locals (names suffixed by chunk index) and only reads
 // the always-present globals/helpers.
+//
+// There is one generator: generate_program(seed) renders the structured
+// model that generate_model(seed) draws (fuzz/mutate.hpp), so the
+// one-shot sweep, the campaign lattice and the evolutionary stage's round 0
+// all sample the same distribution, and every benignity invariant lives in
+// one renderer.  GenProgram is the rendered form — the currency of the
+// minimizer, the repro records and the coverage probes.
 #pragma once
 
 #include <cstdint>

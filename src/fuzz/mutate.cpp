@@ -10,8 +10,9 @@ namespace {
 
 constexpr std::int32_t kIntMin = std::numeric_limits<std::int32_t>::min();
 
-/// Same literal spelling rules as the generator: MiniC has no negative
-/// literals, so negatives (and INT_MIN in particular) are spelled
+/// Render a value as a MiniC expression.  MiniC has no negative literals
+/// (unary minus parses as an operator) and the lexer reads digits into
+/// int64, so negatives (and INT_MIN in particular) are spelled
 /// arithmetically.
 std::string lit(std::int32_t v) {
     if (v == kIntMin) {
@@ -23,6 +24,7 @@ std::string lit(std::int32_t v) {
     return std::to_string(v);
 }
 
+/// Boundary-heavy leaf pool: the wrap/overflow corners live at the extremes.
 constexpr std::int32_t kInteresting[] = {
     0,   1,   2,   3,    5,     7,          10,      31, 32,
     100, 255, 256, 4095, 65535, 2147483647, kIntMin, -1, -2,
@@ -78,11 +80,10 @@ std::string render_rt(const Expr& e, const std::vector<std::string>& scope) {
     return "0";
 }
 
-/// Constant form, rendered twice like the generator's ConstExpr: `folded`
-/// uses bare literals (the compiler folds the global initialiser); `runtime`
-/// routes every leaf through `__zero` so the VM's ALU recomputes it.  Var
-/// leaves degrade to their `lit` payload — const expressions cannot name
-/// run-time state.
+/// Constant form, rendered twice: `folded` uses bare literals (the compiler
+/// folds the global initialiser); `runtime` routes every leaf through
+/// `__zero` so the VM's ALU recomputes it.  Var leaves degrade to their
+/// `lit` payload — const expressions cannot name run-time state.
 struct ConstText {
     std::string folded;
     std::string runtime;
@@ -549,7 +550,7 @@ ProgramModel havoc(const ProgramModel& parent, Rng& rng) {
             break;
         }
         case 7: { // expression deepening (grows register pressure past the
-                  // generator's depth cap; renderer keeps every op total)
+                  // generation depth cap; renderer keeps every op total)
             std::vector<Expr*> lits, bins;
             collect_model(m, lits, bins);
             std::vector<Expr*> nodes = lits;

@@ -1,9 +1,8 @@
 // Structured program models for the mutational (evolutionary) fuzz stage.
 //
-// The PR4 generator emits programs as rendered text, which is perfect for
-// one-shot generation but opaque to mutation: a textual havoc cannot tell a
-// loop bound from an array index, so any byte-level edit risks producing a
-// non-benign program — and a non-benign program breaks the Defense oracle
+// Rendered program text is opaque to mutation: a textual havoc cannot tell
+// a loop bound from an array index, so any byte-level edit risks producing
+// a non-benign program — and a non-benign program breaks the Defense oracle
 // by *design* (bounds-checking configurations legitimately diverge from the
 // unprotected baseline on an out-of-bounds access).
 //
@@ -11,11 +10,12 @@
 // operator trees whose leaves are literals or scope-relative variable
 // references, and each statement chunk is a parameter record (kind, bounds,
 // fill bytes, call target, expression trees) rendered to MiniC text on
-// demand.  Every invariant the generator enforces lives in the *renderer*
-// — denominators are forced odd, array indices are reduced modulo the
-// array length, loop trips are clamped, string bytes are forced non-zero —
-// so any model, however mutated or spliced, renders to a valid, benign,
-// deterministic program.  That is what "valid by construction" means here:
+// demand.  It is also the only generator: fuzz::generate_program(seed) is
+// generate_model(seed).render().  Every benignity invariant lives in the
+// *renderer* — denominators are forced odd, array indices are reduced
+// modulo the array length, loop trips are clamped, string bytes are forced
+// non-zero — so any model, however mutated or spliced, renders to a valid,
+// benign, deterministic program.  That is what "valid by construction" means here:
 // the mutation operators are free to be dumb because the renderer cannot
 // express an invalid program.
 //
@@ -29,8 +29,8 @@
 //   * call-target flips between the program's helper functions,
 //   * chunk duplication / deletion / regeneration,
 // plus two-parent *splice* (chunk-list crossover).  Chunks are
-// self-contained by the same naming discipline as the generator (locals
-// suffixed by chunk index), so any chunk list renders.
+// self-contained (locals suffixed by chunk index, see generator.hpp), so
+// any chunk list renders.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +105,10 @@ struct ProgramModel {
     [[nodiscard]] GenProgram render() const;
 };
 
-/// Deterministic model generation; drawing distributions mirror the PR4
-/// generator (plus the Str chunk kind), so an unmutated model population
-/// is the "generator-only" baseline of the coverage experiment.
+/// Deterministic model generation: 2-4 globals, 1-2 helpers and 3-7 chunks
+/// drawn uniformly over all nine kinds.  fuzz::generate_program renders
+/// this, so an unmutated model population is the one-shot fuzzer's
+/// distribution — the "generator-only" baseline of the coverage experiment.
 [[nodiscard]] ProgramModel generate_model(std::uint64_t seed);
 
 /// Havoc: 1..3 random perturbations of a copy of `parent`.  Deterministic

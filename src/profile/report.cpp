@@ -6,9 +6,9 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/escape.hpp"
 #include "common/hexdump.hpp"
 #include "isa/disasm.hpp"
-#include "trace/trace.hpp"
 
 namespace swsec::profile {
 
@@ -161,7 +161,7 @@ std::string ProfileReport::to_json() const {
         }
         out += "{\"pc\":\"" + hex32(b.pc) + "\",\"offset\":" + std::to_string(b.offset) +
                ",\"count\":" + std::to_string(b.count) + ",\"sym\":\"" +
-               trace::json_escape(b.sym) + "\"}";
+               json_escape(b.sym) + "\"}";
     }
     out += "],\"lines\":[";
     for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -169,8 +169,8 @@ std::string ProfileReport::to_json() const {
         if (i != 0) {
             out += ',';
         }
-        out += "{\"function\":\"" + trace::json_escape(l.function) + "\",\"file\":\"" +
-               trace::json_escape(l.file) + "\",\"line\":" + std::to_string(l.line) +
+        out += "{\"function\":\"" + json_escape(l.function) + "\",\"file\":\"" +
+               json_escape(l.file) + "\",\"line\":" + std::to_string(l.line) +
                ",\"count\":" + std::to_string(l.count) + "}";
     }
     out += "],\"edges\":[";
@@ -181,7 +181,7 @@ std::string ProfileReport::to_json() const {
         }
         out += "{\"from\":\"" + hex32(e.from) + "\",\"to\":\"" + hex32(e.to) +
                "\",\"count\":" + std::to_string(e.count) + ",\"sym_from\":\"" +
-               trace::json_escape(e.sym_from) + "\",\"sym_to\":\"" + trace::json_escape(e.sym_to) +
+               json_escape(e.sym_from) + "\",\"sym_to\":\"" + json_escape(e.sym_to) +
                "\"}";
     }
     out += "],\"folded\":[";
@@ -189,7 +189,7 @@ std::string ProfileReport::to_json() const {
         if (i != 0) {
             out += ',';
         }
-        out += "{\"stack\":\"" + trace::json_escape(folded[i].stack) +
+        out += "{\"stack\":\"" + json_escape(folded[i].stack) +
                "\",\"count\":" + std::to_string(folded[i].count) + "}";
     }
     out += "]}";

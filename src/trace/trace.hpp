@@ -156,7 +156,4 @@ private:
     Counters counters_;
 };
 
-/// Escape a string for embedding in a JSON value.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 } // namespace swsec::trace

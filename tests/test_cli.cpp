@@ -138,6 +138,28 @@ TEST(Cli, EverySweepSizeFlagRefusesZero) {
     EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
+TEST(Cli, HugeSweepSizesAreRefusedBeforeAnyAllocation) {
+    // Each of these sizes a per-item buffer from its value before any work
+    // starts; past its cap it would abort in the allocator, not exit 2.
+    const std::string dir = ::testing::TempDir() + "swsec_cli_huge_sweep";
+    std::filesystem::remove_all(dir);
+    expect_refused({"curves", "--trials", "1000000000000", "--aslr-bits", "0", "--budgets", "1"},
+                   "--trials");
+    expect_refused({"curves", "--trials", "1000001"}, "--trials");
+    expect_refused({"fuzz", "--seeds", "2000000000"}, "--seeds");
+    expect_refused({"fuzz", "--seeds", "1000001"}, "--seeds");
+    expect_refused({"evolve", "--init", "10001"}, "--init");
+    expect_refused({"evolve", "--batch", "2000000000"}, "--batch");
+    expect_refused({"campaign", "run", "--kind", "fuzz", "--dir", dir, "--seeds", "2000000000"},
+                   "--seeds");
+    expect_refused({"campaign", "run", "--kind", "matrix", "--dir", dir, "--draws", "2000000000"},
+                   "--draws");
+    expect_refused(
+        {"campaign", "run", "--kind", "fuzz-evolve", "--dir", dir, "--evolve-init", "2000000000"},
+        "--evolve-init");
+    EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(Cli, MissingValueAndUnknownFlagAreRefused) {
     expect_refused({"fuzz", "--seeds"}, "--seeds");
     expect_refused({"matrix", "--frobnicate"}, "--frobnicate");

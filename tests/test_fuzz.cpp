@@ -17,6 +17,7 @@
 #include "core/image_cache.hpp"
 #include "fuzz/fuzz.hpp"
 #include "fuzz/generator.hpp"
+#include "fuzz/mutate.hpp"
 #include "os/process.hpp"
 
 namespace {
@@ -53,6 +54,22 @@ TEST(FuzzGenerator, DeterministicPerSeed) {
 
 TEST(FuzzGenerator, DistinctSeedsDistinctPrograms) {
     EXPECT_NE(fuzz::generate_program(1).render(), fuzz::generate_program(2).render());
+}
+
+TEST(FuzzGenerator, IsTheModelGenerator) {
+    // One generator: the one-shot sweep renders the same models the
+    // evolutionary stage seeds its population with, every chunk kind
+    // included.
+    std::set<fuzz::ChunkModel::Kind> kinds;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const fuzz::ProgramModel model = fuzz::generate_model(seed);
+        EXPECT_EQ(fuzz::generate_program(seed).render(), model.render().render())
+            << "seed " << seed;
+        for (const fuzz::ChunkModel& c : model.chunks) {
+            kinds.insert(c.kind);
+        }
+    }
+    EXPECT_EQ(kinds.size(), 9u);
 }
 
 TEST(FuzzGenerator, GeneratedProgramsAreCleanUnderAllOracles) {

@@ -474,14 +474,17 @@ TEST(Metrics, VolatileMetricsExcludedFromPrometheusByDefault) {
 }
 
 TEST(Metrics, SharedEscaperBetweenJsonAndTraceIsLocked) {
-    // One escaper for every writer (common/escape.hpp): the trace layer
-    // delegates to it, and the metrics JSON uses it for names and label
-    // values — so a hostile label value cannot produce invalid JSON.
+    // One escaper for every writer (common/escape.hpp): trace events embed
+    // its output, and the metrics JSON uses it for names and label values —
+    // so a hostile label value cannot produce invalid JSON.
     // "\x01" is split from "f": a hex escape is greedy and "\x01f" would
     // parse as the single byte 0x1f.
     const std::string nasty = "a\\b\"c\nd\te\x01" "f";
-    EXPECT_EQ(trace::json_escape(nasty), swsec::json_escape(nasty));
     EXPECT_EQ(swsec::json_escape(nasty), "a\\\\b\\\"c\\nd\\te\\u0001f");
+    trace::TraceEvent ev;
+    ev.detail = nasty;
+    EXPECT_NE(ev.to_json().find("\"detail\":\"" + swsec::json_escape(nasty) + "\""),
+              std::string::npos);
 
     profile::Registry reg;
     reg.counter_add("c", {{"k", "v\"w\\x"}}, 1);

@@ -125,6 +125,16 @@ constexpr std::uint64_t kMaxJobs = 256;
 
 Flag jobs_flag(int& jobs) { return {"--jobs", &jobs, "N", 0, kMaxJobs}; }
 
+/// Sweep sizes that size a per-item buffer before any work starts (per-seed
+/// results, per-trial tallies, a campaign's cell list) are capped so a typo
+/// is refused instead of aborting in the allocator.  A million items is
+/// hours of work; what is sized up front for it stays under half a GB.
+constexpr std::uint64_t kMaxSweep = 1'000'000;
+
+/// An evolve population (round 0 or one bred batch) holds whole program
+/// models and their coverage bitmaps in memory at once: kilobytes each.
+constexpr std::uint64_t kMaxPopulation = 10'000;
+
 /// The one numeric reader: all of `text` is one unsigned integer in C
 /// notation (decimal, 0x hex, 0 octal) within [min, max].
 std::optional<std::uint64_t> read_number(const std::string& text, std::uint64_t min,
@@ -573,7 +583,7 @@ int cmd_fuzz(Cli& cli) {
     std::string out_path;
     std::string coverage_out;
     Exports exports;
-    if (!cli.parse({{"--seeds", &opts.seeds, "N", 1},
+    if (!cli.parse({{"--seeds", &opts.seeds, "N", 1, kMaxSweep},
                     {"--seed-base", &opts.seed_base, "B"},
                     jobs_flag(opts.jobs),
                     {"--minimize", &opts.minimize},
@@ -615,8 +625,8 @@ int cmd_evolve(Cli& cli) {
     Exports exports;
     if (!cli.parse({{"--seed", &opts.seed, "N"},
                     {"--execs", &opts.execs, "N", 1},
-                    {"--init", &opts.init_programs, "N", 1},
-                    {"--batch", &opts.batch, "N", 1},
+                    {"--init", &opts.init_programs, "N", 1, kMaxPopulation},
+                    {"--batch", &opts.batch, "N", 1, kMaxPopulation},
                     jobs_flag(opts.jobs),
                     {"--max-corpus", &opts.max_corpus, "N"},
                     {"--out", &out_path, "FILE"},
@@ -660,7 +670,7 @@ int cmd_curves(Cli& cli) {
     core::CurveOptions opts;
     std::string out_path;
     Exports exports;
-    if (!cli.parse({{"--trials", &opts.trials, "N", 1},
+    if (!cli.parse({{"--trials", &opts.trials, "N", 1, kMaxSweep},
                     jobs_flag(opts.jobs),
                     {"--seed", &opts.seed, "N"},
                     {"--aslr-bits", &opts.aslr_bits, "LIST"},
@@ -708,15 +718,18 @@ int cmd_campaign(Cli& cli) {
     std::string kind_arg;
     bool follow = false;
     Exports exports;
+    // A matrix draw is one cell per attack x defense pair.
+    const std::uint64_t lattice_cells =
+        core::all_attacks().size() * core::standard_defenses().size();
     if (!cli.parse({{"--kind", &kind_arg, "matrix|fault-sweep|fuzz|fuzz-evolve"},
                     {"--dir", &dir, "DIR"},
                     // The spec: which lattice, and its seeds.
-                    {"--draws", &spec.draws, "N", 1},
-                    {"--seeds", &spec.seeds, "N", 1},
+                    {"--draws", &spec.draws, "N", 1, kMaxSweep / lattice_cells},
+                    {"--seeds", &spec.seeds, "N", 1, kMaxSweep},
                     {"--seed-base", &spec.seed_base, "B"},
                     {"--windows", &spec.windows_per_class, "N", 1},
                     {"--evolve-execs", &spec.evolve_execs, "N", 1},
-                    {"--evolve-init", &spec.evolve_init, "N", 1},
+                    {"--evolve-init", &spec.evolve_init, "N", 1, kMaxPopulation},
                     {"--victim-seed", &spec.victim_seed, "N"},
                     {"--attacker-seed", &spec.attacker_seed, "N"},
                     {"--fault-seed", &spec.fault_seed, "N"},
