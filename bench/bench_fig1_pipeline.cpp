@@ -72,6 +72,9 @@ void BM_LoadImage(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadImage);
 
+// compile_program caches crt0 and the libc per option set, so from the
+// second iteration on this pays for the program's own unit, the link, the
+// load and the run: the cost a harness pays per image.
 void BM_FullPipeline(benchmark::State& state) {
     for (auto _ : state) {
         const auto img = cc::compile_program({server_src()}, cc::CompilerOptions::none());

@@ -61,6 +61,8 @@ struct LineEntry {
 struct Redzone {
     std::uint32_t offset = 0; // data-section offset
     std::uint32_t size = 0;
+
+    bool operator==(const Redzone&) const = default;
 };
 
 /// Output of one assembler run.
@@ -84,6 +86,8 @@ struct ImageSymbol {
     std::uint32_t offset = 0;
     bool is_func = false;
     bool is_entry = false;
+
+    bool operator==(const ImageSymbol&) const = default;
 };
 
 /// A resolved relocation in a linked image.
@@ -93,6 +97,8 @@ struct ImageReloc {
     SectionKind target_section = SectionKind::Text;
     std::uint32_t target_offset = 0;
     RelocKind kind = RelocKind::Abs32;
+
+    bool operator==(const ImageReloc&) const = default;
 };
 
 /// A line-table entry in a linked image; `file` indexes Image::line_files.
@@ -100,6 +106,8 @@ struct ImageLineEntry {
     std::uint32_t offset = 0; // text-section offset of the first covered byte
     std::uint32_t line = 0;
     std::uint16_t file = 0;
+
+    bool operator==(const ImageLineEntry&) const = default;
 };
 
 /// A fully linked, relocatable program image.

@@ -72,6 +72,12 @@ struct CompilerOptions {
     }
 };
 
+/// A short string in which every CompilerOptions field participates, so two
+/// option sets that could produce different code never share a key.  The
+/// runtime-object cache below, the machine-wide image cache and the fuzzer's
+/// per-program compile memo all key on it.
+[[nodiscard]] std::string compiler_options_key(const CompilerOptions& o);
+
 /// Compile one MiniC unit to assembly text (inspectable; Fig. 1(b) views
 /// come from disassembling the final image, but this is the direct output).
 [[nodiscard]] std::string compile_to_asm(const std::string& source, const CompilerOptions& opts,
@@ -85,7 +91,9 @@ struct CompilerOptions {
 
 /// Compile a whole program: the given MiniC units plus the swsec runtime
 /// (crt0/_start, syscall wrappers, small libc), linked into an Image ready
-/// for os::load_image.
+/// for os::load_image.  Neither runtime object depends on the program, so
+/// crt0 is assembled once per process and the libc compiled once per
+/// options key; each image compile pays only for its own units.
 [[nodiscard]] objfmt::Image compile_program(const std::vector<std::string>& minic_units,
                                             const CompilerOptions& opts);
 

@@ -6,28 +6,6 @@
 
 namespace swsec::core {
 
-// Drift guard: options_key() below enumerates CompilerOptions by hand, so a
-// field added to the struct without a matching key component would silently
-// alias cached images across defense configurations — a wrong-code-reuse
-// bug a differential fuzzer would misattribute to the compiler.  Fail the
-// build instead: adding a field changes the size, and whoever does it must
-// extend options_key() (and this constant) in the same change.
-static_assert(sizeof(cc::CompilerOptions) == 7,
-              "cc::CompilerOptions changed: update compiler_options_key() in "
-              "core/image_cache.cpp to include the new field, then bump this guard");
-
-std::string compiler_options_key(const cc::CompilerOptions& o) {
-    std::string k;
-    k += o.stack_canaries ? 'c' : '-';
-    k += o.bounds_checks ? 'b' : '-';
-    k += o.fortify_reads ? 'f' : '-';
-    k += o.memcheck ? 'm' : '-';
-    k += o.sanitize_address ? 'a' : '-';
-    k += o.emit_comments ? 'e' : '-';
-    k += static_cast<char>('0' + static_cast<int>(o.pma_mode));
-    return k;
-}
-
 namespace {
 
 struct Cache {

@@ -28,12 +28,9 @@
 
 namespace swsec::core {
 
-/// The options half of the cache key: a short string in which every
-/// CompilerOptions field participates, so two option sets that could
-/// produce different code never share a cache entry.  Exposed so tests can
-/// assert the no-collision property and other layers (the fuzzer's
-/// per-program compile memo) can key on compiler output identity.
-[[nodiscard]] std::string compiler_options_key(const cc::CompilerOptions& o);
+/// The options half of the cache key (defined next to CompilerOptions, and
+/// shared with the runtime-object cache and the fuzzer's compile memo).
+using cc::compiler_options_key;
 
 /// compile_program({source}, opts), memoized on (source, opts) with LRU
 /// eviction beyond the configured capacity.

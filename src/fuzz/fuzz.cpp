@@ -51,15 +51,15 @@ void add_counters(trace::Counters& into, const trace::Counters& c) {
 
 /// Per-program compile memo.  Images depend only on CompilerOptions (the
 /// platform half of a Defense never reaches the compiler), so the ~10
-/// standard defenses share ~4 compiles, keyed by the same options key the
-/// machine-wide image cache uses.
+/// standard defenses share 5 compiles, keyed by the same options key the
+/// runtime-object and machine-wide image caches use.
 class CompileMemo {
 public:
     explicit CompileMemo(std::string source) : source_(std::move(source)) {}
 
     /// Shared, so each of the program's runs loads it without a copy.
     const std::shared_ptr<const objfmt::Image>& get(const cc::CompilerOptions& copts) {
-        const std::string key = core::compiler_options_key(copts);
+        const std::string key = cc::compiler_options_key(copts);
         auto it = images_.find(key);
         if (it == images_.end()) {
             it = images_
@@ -483,26 +483,34 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     }
 
     // Cumulative coverage: per-seed bitmaps were computed share-nothing in
-    // the parallel phase; the merge (and the chunk prioritization of the
-    // few interesting seeds) runs serially in seed order, so the curve —
-    // monotone by construction — is identical for any jobs value.
+    // the parallel phase; the merge runs serially in seed order, so the
+    // curve — monotone by construction — and the fresh buckets of each
+    // interesting seed are identical for any jobs value.  Prioritizing an
+    // interesting seed's chunks needs only that seed and its fresh buckets,
+    // so a second parallel pass does it, each seed into its own slot.
     if (opts.coverage) {
         report.coverage.enabled = true;
         profile::CoverageBitmap cumulative;
+        std::vector<std::vector<std::uint32_t>> targets;
         for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t seed = opts.seed_base + i;
-            const std::vector<std::uint32_t> fresh = fresh_buckets(*results[i].bitmap, cumulative);
+            std::vector<std::uint32_t> fresh = fresh_buckets(*results[i].bitmap, cumulative);
             const std::uint32_t grew = cumulative.merge_new(*results[i].bitmap);
             report.coverage.new_edges.push_back(grew);
             report.coverage.cumulative.push_back(cumulative.popcount());
             if (!fresh.empty()) {
                 CoverageReport::InterestingSeed is;
-                is.seed = seed;
+                is.seed = opts.seed_base + i;
                 is.new_buckets = grew;
-                is.chunks = prioritize_chunks(generate_program(seed), seed, opts.max_steps, fresh);
                 report.coverage.interesting.push_back(std::move(is));
+                targets.push_back(std::move(fresh));
             }
         }
+        auto& interesting = report.coverage.interesting;
+        core::parallel_for(interesting.size(), opts.jobs, [&](std::size_t k) {
+            const std::uint64_t seed = interesting[k].seed;
+            interesting[k].chunks =
+                prioritize_chunks(generate_program(seed), seed, opts.max_steps, targets[k]);
+        });
         report.coverage.total_edges = cumulative.popcount();
     }
     return report;

@@ -2,7 +2,15 @@
 // semantic error reporting, and the hardening transformations.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <thread>
+#include <vector>
+
+#include "assembler/assembler.hpp"
+#include "assembler/linker.hpp"
 #include "cc/compiler.hpp"
+#include "cc/runtime.hpp"
 #include "common/error.hpp"
 #include "os/process.hpp"
 
@@ -389,6 +397,134 @@ TEST(MiniC, CompilationIsDeterministic) {
     const auto b = cc::compile_program({src}, CompilerOptions::none());
     EXPECT_EQ(a.text, b.text);
     EXPECT_EQ(a.data, b.data);
+}
+
+// --- runtime-object cache ----------------------------------------------------
+
+/// A unit with globals, arrays, a string and a libc call, so every hardening
+/// option changes its code or data layout.
+const char* const kCacheProbeSrc = R"(
+    int table[4];
+    char name[12];
+    int sum(int* a, int n) { int s = 0; int i = 0; while (i < n) { s = s + a[i]; i = i + 1; } return s; }
+    int main() {
+        char buf[8];
+        table[2] = 3;
+        strcpy(name, "probe");
+        buf[0] = name[0];
+        return sum(table, 4) + buf[0];
+    }
+)";
+
+/// Every CompilerOptions value: 6 bools x 3 PMA modes = 192.
+std::vector<CompilerOptions> all_compiler_options() {
+    std::vector<CompilerOptions> all;
+    for (unsigned bits = 0; bits < 64; ++bits) {
+        for (const cc::PmaMode pma :
+             {cc::PmaMode::Off, cc::PmaMode::InsecureModule, cc::PmaMode::SecureModule}) {
+            CompilerOptions o;
+            o.stack_canaries = (bits & 1u) != 0;
+            o.bounds_checks = (bits & 2u) != 0;
+            o.fortify_reads = (bits & 4u) != 0;
+            o.memcheck = (bits & 8u) != 0;
+            o.sanitize_address = (bits & 16u) != 0;
+            o.emit_comments = (bits & 32u) != 0;
+            o.pma_mode = pma;
+            all.push_back(o);
+        }
+    }
+    return all;
+}
+
+/// The image compile_program must produce, built from the public steps with
+/// nothing cached: crt0, the libc under `o`, the unit under `o`, linked.
+objfmt::Image hand_linked(const std::string& src, const CompilerOptions& o) {
+    std::vector<objfmt::ObjectFile> objs;
+    objs.push_back(assembler::assemble(cc::runtime_crt0_asm(), "crt0"));
+    objs.push_back(cc::compile(cc::runtime_libc_minic(), o, "libc"));
+    objs.push_back(cc::compile(src, o, "u0"));
+    return assembler::link(objs);
+}
+
+void expect_same_image(const objfmt::Image& got, const objfmt::Image& want,
+                       const CompilerOptions& o) {
+    const std::string key = cc::compiler_options_key(o);
+    EXPECT_TRUE(got.text == want.text) << key;
+    EXPECT_TRUE(got.data == want.data) << key;
+    EXPECT_EQ(got.bss_size, want.bss_size) << key;
+    EXPECT_TRUE(got.symbols == want.symbols) << key;
+    EXPECT_TRUE(got.relocs == want.relocs) << key;
+    EXPECT_TRUE(got.funcs == want.funcs) << key;
+    EXPECT_TRUE(got.entry_offsets == want.entry_offsets) << key;
+    EXPECT_TRUE(got.line_table == want.line_table) << key;
+    EXPECT_TRUE(got.line_files == want.line_files) << key;
+    EXPECT_TRUE(got.redzones == want.redzones) << key;
+}
+
+TEST(MiniC, CachedRuntimeObjectsChangeNoImage) {
+    std::set<std::string> keys;
+    std::size_t linked = 0;
+    for (const CompilerOptions& o : all_compiler_options()) {
+        const std::string key = cc::compiler_options_key(o);
+        keys.insert(key);
+        // A whole program does not link under SecureModule (its entry stubs
+        // need the module runtime's symbols); there the cached path must
+        // fail with the same error.
+        std::optional<objfmt::Image> want;
+        std::string want_error;
+        try {
+            want = hand_linked(kCacheProbeSrc, o);
+            ++linked;
+        } catch (const Error& e) {
+            want_error = e.what();
+        }
+        // Twice: the first call may fill the cache, the second must hit it.
+        for (int pass = 0; pass < 2; ++pass) {
+            if (want) {
+                expect_same_image(cc::compile_program({kCacheProbeSrc}, o), *want, o);
+                continue;
+            }
+            try {
+                (void)cc::compile_program({kCacheProbeSrc}, o);
+                ADD_FAILURE() << key << ": linked, but the uncached build throws " << want_error;
+            } catch (const Error& e) {
+                EXPECT_EQ(std::string(e.what()), want_error) << key;
+            }
+        }
+    }
+    EXPECT_EQ(keys.size(), 192u); // no two option sets share a cache entry
+    EXPECT_EQ(linked, 128u);      // every option set but the 64 SecureModule ones
+}
+
+TEST(MiniC, ConcurrentRuntimeCacheFillsAgree) {
+    // Run under ctest each test is its own process, so this starts from a
+    // cold runtime-object cache: the four threads race on every first fill.
+    const std::vector<CompilerOptions> all = all_compiler_options();
+    std::vector<CompilerOptions> mixed;
+    for (std::size_t i = 0; i < all.size(); i += 7) {
+        if (all[i].pma_mode != cc::PmaMode::SecureModule) {
+            mixed.push_back(all[i]);
+        }
+    }
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::vector<objfmt::Image>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (const CompilerOptions& o : mixed) {
+                got[t].push_back(cc::compile_program({kCacheProbeSrc}, o));
+            }
+        });
+    }
+    for (std::thread& th : threads) {
+        th.join();
+    }
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+        const objfmt::Image serial = hand_linked(kCacheProbeSrc, mixed[i]);
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            expect_same_image(got[t][i], serial, mixed[i]);
+        }
+    }
 }
 
 TEST(MiniC, AsmOutputIsInspectable) {

@@ -706,6 +706,16 @@ TEST(Coverage, CurveMonotoneAndJobsInvariant) {
     }
     EXPECT_EQ(serial.coverage.curve_csv(opts.seed_base), parallel.coverage.curve_csv(opts.seed_base));
     EXPECT_EQ(serial.coverage.total_edges, parallel.coverage.total_edges);
+    // The interesting seeds, their fresh-bucket counts and the chunks their
+    // prioritization keeps are jobs-invariant too.
+    ASSERT_EQ(serial.coverage.interesting.size(), parallel.coverage.interesting.size());
+    for (std::size_t i = 0; i < serial.coverage.interesting.size(); ++i) {
+        const auto& s = serial.coverage.interesting[i];
+        const auto& p = parallel.coverage.interesting[i];
+        EXPECT_EQ(s.seed, p.seed) << "entry " << i;
+        EXPECT_EQ(s.new_buckets, p.new_buckets) << "entry " << i;
+        EXPECT_EQ(s.chunks, p.chunks) << "entry " << i;
+    }
     // The very first seed always lights new edges and keeps at least one chunk.
     ASSERT_FALSE(serial.coverage.interesting.empty());
     EXPECT_EQ(serial.coverage.interesting[0].seed, opts.seed_base);
